@@ -29,11 +29,7 @@ from .graph import (
     START,
     CommutativityGraph,
     Edge,
-    GraphMode,
     build_graph,
-    build_graph_nonnegative,
-    build_graph_nonpositive,
-    edge_count_bound_check,
     to_dot,
 )
 from .model import (
@@ -70,7 +66,6 @@ __all__ = [
     "FrameAssignment",
     "GateString",
     "Gf2Circuit",
-    "GraphMode",
     "LongestPath",
     "PairConstraint",
     "ParseError",
@@ -82,8 +77,6 @@ __all__ = [
     "assignment_from_weights",
     "brute_force_min_memory",
     "build_graph",
-    "build_graph_nonnegative",
-    "build_graph_nonpositive",
     "check_instance",
     "constraint_set",
     "conv_encoder_gates",
@@ -92,7 +85,6 @@ __all__ = [
     "corpus_path",
     "default_margin",
     "degree_notation",
-    "edge_count_bound_check",
     "fitted_margin",
     "frame_assignment",
     "gf2_rank",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import START, CommutativityGraph, build_graph
-from .model import ConstraintKind, PearlNecklace, constraint_set
+from .model import PearlNecklace
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,14 @@ def assignment_from_weights(enc: PearlNecklace, lp: LongestPath) -> FrameAssignm
         memory=lp.end_weight,
         memory_qubits=enc.frame_width * lp.end_weight,
     )
-    assert satisfies_constraints(enc, fa)
-    assert fa.memory == max((max(s, t) for s, t in zip(sigma, tau)), default=0)
+    if not satisfies_constraints(enc, fa):
+        raise ValueError(
+            "longest-path weights give an assignment that violates a pair constraint"
+        )
+    if fa.memory != max((max(s, t) for s, t in zip(sigma, tau)), default=0):
+        raise ValueError(
+            f"longest-path weight {fa.memory} differs from the largest frame index used"
+        )
     return fa
 
 
@@ -125,15 +131,19 @@ def minimal_memory(enc: PearlNecklace) -> int:
 
 
 def satisfies_constraints(enc: PearlNecklace, fa: FrameAssignment) -> bool:
-    """Check every pair constraint against an assignment."""
-    for c in constraint_set(enc):
-        i, j = c.earlier - 1, c.later - 1
-        if c.kind is ConstraintKind.SOURCE_TARGET:
-            if fa.sigma[i] > fa.tau[j]:
-                return False
-        else:
-            if fa.tau[i] > fa.sigma[j]:
-                return False
+    """Check every pair constraint of ``constraint_set(enc)`` in one pass.
+
+    Gate j must place its target no lower than the sources of earlier strings
+    with source b_j, and its source no lower than the targets of earlier
+    strings with target a_j; running maxima per qubit index hold both bounds.
+    """
+    max_sigma = [float("-inf")] * (enc.frame_width + 1)  # by source qubit
+    max_tau = [float("-inf")] * (enc.frame_width + 1)  # by target qubit
+    for g, sigma, tau in zip(enc.strings, fa.sigma, fa.tau, strict=True):
+        if max_sigma[g.target] > tau or max_tau[g.source] > sigma:
+            return False
+        max_sigma[g.source] = max(max_sigma[g.source], sigma)
+        max_tau[g.target] = max(max_tau[g.target], tau)
     return True
 
 

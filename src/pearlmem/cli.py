@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .assignment import conv_encoder_gates
 from .gf2 import brute_force_min_memory, conv_matrix, fitted_margin, interior_equal, pearl_matrix
-from .graph import to_dot
+from .graph import build_graph, to_dot
 from .model import PearlNecklace
 from .parser import ParseError, SourceText, parse
 from .report import AnalysisReport, analyze, to_json, to_text
@@ -42,7 +42,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     enc = _load_encoder(args.file)
-    text = to_dot(analyze(enc).graph, enc)
+    text = to_dot(build_graph(enc), enc)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:

@@ -7,33 +7,27 @@ with weight |l_j|.  A gate-to-gate edge i -> j exists only when the pair
 j's frame placement.  The longest START -> END path equals the minimal memory
 of any convolutional realization.
 
-Edge weights between gates i < j, by degree signs (ST = source-target
-collision, TS = target-source collision):
+Gate k has a sigma-offset p_k = max(l_k, 0) and a tau-offset q_k = max(-l_k, 0),
+so that sigma_k = w_k + p_k and tau_k = w_k + q_k for its longest-path weight
+w_k.  Each collision between gates i < j then gives one edge i -> j:
 
-    l_i >= 0, l_j >= 0:  ST -> l_i,        else TS -> -l_j        (one edge)
-    l_i <  0, l_j >= 0:  ST -> 0,          and  TS -> |l_i| - l_j (independent)
-    l_i >= 0, l_j <  0:  ST -> l_i - |l_j|, and TS -> 0           (independent)
-    l_i <  0, l_j <  0:  TS -> |l_i|,      else ST -> -|l_j|      (one edge)
+    source-target (a_i == b_j, sigma_i <= tau_j):  weight p_i - q_j
+    target-source (b_i == a_j, tau_i <= sigma_j):  weight q_i - p_j
 
-In the same-sign rows one collision kind subsumes the other, so only the
-dominant edge is drawn; mixed-sign rows may contribute two parallel edges.
+When a pair has both collisions and l_i, l_j lie in the same sign class (both
+>= 0 or both < 0), one constraint implies the other and only the dominant
+edge is drawn: source-target when both are >= 0, target-source when both are
+< 0.  Mixed-sign pairs with both collisions get two parallel edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 from .model import PearlNecklace
 
 START = 0
-
-
-class GraphMode(Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    MIXED = "mixed"
 
 
 class Edge(NamedTuple):
@@ -48,7 +42,6 @@ class CommutativityGraph:
 
     gate_count: int
     edges: tuple[Edge, ...]
-    mode: GraphMode
     pair_inspections: int
 
     @property
@@ -74,95 +67,26 @@ def _boundary_edges(degrees: list[int], n: int) -> list[Edge]:
 
 
 def build_graph(enc: PearlNecklace) -> CommutativityGraph:
-    """Build the commutativity graph for arbitrary signed degrees."""
-    gates = [(g.source, g.target, g.degree) for g in enc.strings]
+    """Build the commutativity graph, inspecting each pair i < j once."""
+    gates = [
+        (g.source, g.target, max(g.degree, 0), max(-g.degree, 0), g.degree >= 0)
+        for g in enc.strings
+    ]
     n = len(gates)
-    edges = _boundary_edges([l for _, _, l in gates], n)
-    inspections = 0
+    edges = _boundary_edges([g.degree for g in enc.strings], n)
     for j in range(2, n + 1):
-        aj, bj, lj = gates[j - 1]
-        for i in range(1, j):
-            inspections += 1
-            ai, bi, li = gates[i - 1]
+        aj, bj, pj, qj, nonneg_j = gates[j - 1]
+        for i, (ai, bi, pi, qi, nonneg_i) in enumerate(gates[: j - 1], start=1):
             st = ai == bj
             ts = bi == aj
-            if li >= 0 and lj >= 0:
-                if st:
-                    edges.append(Edge(i, j, li))
-                elif ts:
-                    edges.append(Edge(i, j, -lj))
-            elif li < 0 and lj >= 0:
-                if st:
-                    edges.append(Edge(i, j, 0))
-                if ts:
-                    edges.append(Edge(i, j, -li - lj))
-            elif li >= 0 and lj < 0:
-                if st:
-                    edges.append(Edge(i, j, li + lj))
-                if ts:
-                    edges.append(Edge(i, j, 0))
-            else:
-                if ts:
-                    edges.append(Edge(i, j, -li))
-                elif st:
-                    edges.append(Edge(i, j, lj))
+            if st and ts and nonneg_i == nonneg_j:  # keep only the dominant edge
+                st, ts = nonneg_i, not nonneg_i
+            if st:
+                edges.append(Edge(i, j, pi - qj))
+            if ts:
+                edges.append(Edge(i, j, qi - pj))
     edges.sort()
-    return CommutativityGraph(n, tuple(edges), GraphMode.MIXED, inspections)
-
-
-def build_graph_nonnegative(enc: PearlNecklace) -> CommutativityGraph:
-    """Direct construction for encoders whose degrees are all >= 0."""
-    gates = [(g.source, g.target, g.degree) for g in enc.strings]
-    if any(l < 0 for _, _, l in gates):
-        raise ValueError("nonnegative builder requires all degrees >= 0")
-    n = len(gates)
-    edges = _boundary_edges([l for _, _, l in gates], n)
-    inspections = 0
-    for j in range(2, n + 1):
-        aj, bj, lj = gates[j - 1]
-        for i in range(1, j):
-            inspections += 1
-            ai, bi, li = gates[i - 1]
-            if ai == bj:
-                edges.append(Edge(i, j, li))
-            elif bi == aj:
-                edges.append(Edge(i, j, -lj))
-    edges.sort()
-    return CommutativityGraph(n, tuple(edges), GraphMode.POSITIVE, inspections)
-
-
-def build_graph_nonpositive(enc: PearlNecklace) -> CommutativityGraph:
-    """Direct construction for encoders whose degrees are all <= 0."""
-    gates = [(g.source, g.target, g.degree) for g in enc.strings]
-    if any(l > 0 for _, _, l in gates):
-        raise ValueError("nonpositive builder requires all degrees <= 0")
-    n = len(gates)
-    edges = _boundary_edges([l for _, _, l in gates], n)
-    inspections = 0
-    for j in range(2, n + 1):
-        aj, bj, lj = gates[j - 1]
-        for i in range(1, j):
-            inspections += 1
-            ai, bi, li = gates[i - 1]
-            if bi == aj:
-                edges.append(Edge(i, j, -li))
-            elif ai == bj:
-                edges.append(Edge(i, j, lj))
-    edges.sort()
-    return CommutativityGraph(n, tuple(edges), GraphMode.NEGATIVE, inspections)
-
-
-def edge_count_bound_check(g: CommutativityGraph, n_strings: int) -> bool:
-    """Structural witness of the quadratic construction bound.
-
-    At most two gate-to-gate edges can exist per ordered pair, plus one
-    START edge and one END edge per gate vertex.
-    """
-    gate_edge_count = len(g.gate_edges())
-    return (
-        gate_edge_count <= n_strings * (n_strings - 1)
-        and len(g.edges) <= n_strings * (n_strings - 1) + 2 * n_strings
-    )
+    return CommutativityGraph(n, tuple(edges), n * (n - 1) // 2)
 
 
 def to_dot(g: CommutativityGraph, enc: PearlNecklace) -> str:

@@ -58,6 +58,8 @@ class _Token(NamedTuple):
 
 
 _PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", "^": "CARET"}
+# ASCII only: str.isdigit() also accepts other scripts' digits and superscripts.
+_DIGITS = frozenset("0123456789")
 
 
 def _tokenize(text: str, name: str) -> list[_Token]:
@@ -86,9 +88,9 @@ def _tokenize(text: str, name: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("INT", text[i:j], line, start_col))
             col += j - i
@@ -127,6 +129,14 @@ class _Parser:
     def semantic_error(self, tok: _Token, message: str) -> EncoderSemanticError:
         return EncoderSemanticError(self.name, tok.line, tok.column, message)
 
+    def int_value(self, tok: _Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # longer than the interpreter's int conversion limit
+            raise self.semantic_error(
+                tok, f"integer literal of {len(tok.text)} characters is too long"
+            ) from None
+
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.advance()
         if tok.kind != kind:
@@ -139,7 +149,7 @@ class _Parser:
         if self.peek().kind == "NAME" and self.peek().text == "qubits":
             self.advance()
             tok = self.expect("INT", "frame width after 'qubits'")
-            declared_width = int(tok.text)
+            declared_width = self.int_value(tok)
             if declared_width < 1:
                 raise self.semantic_error(tok, "frame width must be at least 1")
 
@@ -183,7 +193,7 @@ class _Parser:
 
     def parse_qubit_index(self, declared_width: int | None, role: str) -> int:
         tok = self.expect("INT", f"{role} qubit index")
-        value = int(tok.text)
+        value = self.int_value(tok)
         if value < 1:
             raise self.semantic_error(tok, f"qubit index must be >= 1, got {value}")
         if declared_width is not None and value > declared_width:
@@ -204,7 +214,7 @@ class _Parser:
             if self.peek().kind == "CARET":
                 self.advance()
                 exp = self.expect("INT", "integer exponent after 'D^'")
-                return int(exp.text)
+                return self.int_value(exp)
             return 1
         found = repr(tok.text) if tok.kind != "EOF" else "end of input"
         raise self.syntax_error(

@@ -5,9 +5,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .assignment import conv_encoder_gates, frame_assignment, satisfies_constraints
+from .assignment import conv_encoder_gates, frame_assignment
 from .gf2 import brute_force_min_memory, conv_matrix, default_margin, interior_equal, pearl_matrix
-from .graph import build_graph, build_graph_nonnegative, build_graph_nonpositive
 from .model import PearlNecklace
 from .parser import render
 
@@ -35,23 +34,14 @@ def random_encoder(
 
 def check_instance(enc: PearlNecklace) -> str | None:
     """Run all cross-checks on one encoder; returns a failure reason or None."""
-    fa = frame_assignment(enc)
-
-    if not satisfies_constraints(enc, fa):
-        return f"assignment violates constraints (memory={fa.memory})"
+    try:
+        fa = frame_assignment(enc)  # raises if the feasibility or memory check fails
+    except ValueError as err:
+        return f"assignment rejected: {err}"
 
     brute = brute_force_min_memory(enc, bound=fa.memory + 1)
     if brute != fa.memory:
         return f"brute force found {brute}, graph found {fa.memory}"
-
-    degrees = [g.degree for g in enc.strings]
-    mixed = build_graph(enc)
-    if degrees and all(l >= 0 for l in degrees):
-        if mixed.edges != build_graph_nonnegative(enc).edges:
-            return "mixed builder disagrees with nonnegative builder"
-    if degrees and all(l < 0 for l in degrees):
-        if mixed.edges != build_graph_nonpositive(enc).edges:
-            return "mixed builder disagrees with nonpositive builder"
 
     margin = default_margin(enc, fa.memory)
     frames = 3 * margin

@@ -6,14 +6,18 @@ see the lines as they pass; any failure shows up as a normal pytest failure.
 import random
 import time
 
-from conftest import MIX_GATES, NEG_GATES, make_encoder
+from conftest import (
+    MIX_GATES,
+    NEG_GATES,
+    build_graph_nonnegative,
+    build_graph_nonpositive,
+    make_encoder,
+)
 
 from pearlmem import (
     analyze,
     brute_force_min_memory,
     build_graph,
-    build_graph_nonnegative,
-    build_graph_nonpositive,
     corpus_files,
     corpus_path,
     frame_assignment,

@@ -1,7 +1,11 @@
 """Tests for the longest-path search and the frame assignment it induces."""
 
+import os
 import random
-from collections import defaultdict
+import subprocess
+import sys
+from collections import Counter, defaultdict
+from pathlib import Path
 
 from conftest import (
     COMMUTING_GATES,
@@ -13,16 +17,20 @@ from conftest import (
 )
 from hypothesis import given
 
+import pearlmem
 from pearlmem import (
     START,
+    ConstraintKind,
     FrameAssignment,
     PearlNecklace,
     build_graph,
+    constraint_set,
     conv_encoder_gates,
     frame_assignment,
     longest_path_weights,
     minimal_memory,
     random_encoder,
+    render,
     satisfies_constraints,
 )
 
@@ -177,8 +185,83 @@ def test_reported_path_is_a_maximizing_path(enc):
     assert total == lp.end_weight
 
 
+def pairwise_satisfies(enc, fa):
+    """Reference: every constraint of constraint_set, checked one at a time."""
+    for c in constraint_set(enc):
+        i, j = c.earlier - 1, c.later - 1
+        if c.kind is ConstraintKind.SOURCE_TARGET:
+            if fa.sigma[i] > fa.tau[j]:
+                return False
+        elif fa.tau[i] > fa.sigma[j]:
+            return False
+    return True
+
+
 def test_satisfies_constraints_detects_violations():
     enc = make_encoder(POS_GATES)
     bad = FrameAssignment(sigma=(5, 0, 0, 0, 0), tau=(4, 0, 0, 0, 0), memory=5,
                           memory_qubits=15)
     assert not satisfies_constraints(enc, bad)
+
+    rng = random.Random(1004)
+    verdicts = Counter()
+    for _ in range(1500):
+        enc = random_encoder(rng, max_strings=8)
+        n = len(enc.strings)
+        fa = frame_assignment(enc)
+        shift = rng.randint(-2, 2)
+        nudged = list(fa.sigma)
+        if n:
+            nudged[rng.randrange(n)] += rng.choice((-1, 1))
+        candidates = [
+            fa,
+            FrameAssignment(
+                tuple(s + shift for s in fa.sigma), tuple(t + shift for t in fa.tau), 0, 0
+            ),
+            FrameAssignment(tuple(nudged), fa.tau, 0, 0),
+            FrameAssignment(
+                tuple(rng.randint(-1, 4) for _ in range(n)),
+                tuple(rng.randint(-1, 4) for _ in range(n)),
+                0,
+                0,
+            ),
+        ]
+        for cand in candidates:
+            expected = pairwise_satisfies(enc, cand)
+            assert satisfies_constraints(enc, cand) == expected, (render(enc), cand)
+            verdicts[expected] += 1
+    assert verdicts[True] > 1500 and verdicts[False] > 1000, verdicts
+
+
+def test_corrupted_longest_path_raises_under_optimize():
+    # Both checks in assignment_from_weights must survive python -O, which
+    # strips assert statements.
+    script = f"""
+import dataclasses
+import pearlmem as pm
+enc = pm.PearlNecklace.from_tuples({POS_GATES!r})
+lp = pm.longest_path_weights(pm.build_graph(enc))
+for bad in (
+    dataclasses.replace(lp, gate_weights=(0,) * len(lp.gate_weights)),
+    dataclasses.replace(lp, end_weight=lp.end_weight + 1),
+):
+    try:
+        pm.assignment_from_weights(enc, bad)
+    except ValueError as err:
+        print("raised:", err)
+    else:
+        print("accepted")
+"""
+    src = str(Path(pearlmem.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+        check=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    assert "violates a pair constraint" in lines[0]
+    assert "differs from the largest frame index" in lines[1]

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line front-end."""
 
+import dataclasses
 import json
 
 import pytest
 
+import pearlmem.assignment
 from pearlmem import corpus_path
 from pearlmem.cli import main
 
@@ -143,6 +145,20 @@ def test_selftest_json(capsys):
     assert main(["selftest", "--seed", "2", "--count", "5", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data == {"count": 5, "failures": [], "seed": 2}
+
+
+def test_selftest_reports_rejected_assignment_per_instance(monkeypatch, capsys):
+    real = pearlmem.assignment.longest_path_weights
+
+    def corrupted(g):
+        lp = real(g)
+        return dataclasses.replace(lp, end_weight=lp.end_weight + 1)
+
+    monkeypatch.setattr(pearlmem.assignment, "longest_path_weights", corrupted)
+    assert main(["selftest", "--seed", "1", "--count", "3"]) == 2
+    out = capsys.readouterr().out
+    assert "3 FAILED" in out
+    assert out.count("assignment rejected: longest-path weight") == 3
 
 
 @pytest.mark.parametrize("args", [["analyze"], ["bogus"]])

@@ -3,20 +3,17 @@
 import random
 
 import pytest
-from conftest import MIX_GATES, POS_GATES, encoders, make_encoder
-from hypothesis import given
-
-from pearlmem import (
-    START,
-    GraphMode,
-    build_graph,
+from conftest import (
+    MIX_GATES,
+    POS_GATES,
     build_graph_nonnegative,
     build_graph_nonpositive,
-    constraint_set,
-    edge_count_bound_check,
-    random_encoder,
-    to_dot,
+    encoders,
+    make_encoder,
 )
+from hypothesis import given
+
+from pearlmem import START, build_graph, constraint_set, random_encoder, to_dot
 
 
 def test_unidirectional_gate_edges():
@@ -56,14 +53,6 @@ def test_single_string_graph():
     g = build_graph(make_encoder([(1, 2, 2)]))
     assert g.edges == ((0, 1, 0), (1, 2, 2))
     assert g.vertex_count == 3
-
-
-def test_modes():
-    assert build_graph(make_encoder(POS_GATES)).mode is GraphMode.MIXED
-    assert build_graph_nonnegative(make_encoder(POS_GATES)).mode is GraphMode.POSITIVE
-    assert (
-        build_graph_nonpositive(make_encoder([(1, 2, -1)])).mode is GraphMode.NEGATIVE
-    )
 
 
 def test_specialized_builders_reject_wrong_signs():
@@ -108,10 +97,14 @@ def test_mixed_equals_nonpositive_builder_on_negative_input():
 
 
 def test_edge_count_bound():
-    assert edge_count_bound_check(build_graph(make_encoder(POS_GATES)), 5)
-    assert edge_count_bound_check(build_graph(make_encoder([])), 0)
+    # At most two gate-to-gate edges per pair, plus one START and one END edge
+    # per gate vertex.
     enc = random_encoder(random.Random(5), max_strings=50, max_width=3)
-    assert edge_count_bound_check(build_graph(enc), len(enc.strings))
+    for e in (make_encoder(POS_GATES), make_encoder([]), enc):
+        g = build_graph(e)
+        n = len(e.strings)
+        assert len(g.gate_edges()) <= n * (n - 1)
+        assert len(g.edges) <= n * (n - 1) + 2 * n
 
 
 def test_dot_single_string():

@@ -76,10 +76,42 @@ def test_zero_frame_width_rejected():
         parse("qubits 0")
 
 
-@pytest.mark.parametrize("text", ["CNOT(1,2)(2)", "CNOT(1,2)(0)", "CNOT(1,2)(D^x)"])
-def test_malformed_delay_is_syntax_error(text):
-    with pytest.raises(EncoderSyntaxError):
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        pytest.param(text, column, id=text)
+        for text, column in [
+            ("CNOT(1,2)(2)", 11),
+            ("CNOT(1,2)(0)", 11),
+            ("CNOT(1,2)(D^x)", 13),
+            # Only ASCII digits are digits: an Arabic-Indic digit or a
+            # superscript is an unexpected character, not a number.
+            ("qubits \u0663", 8),
+            ("CNOT(\u0661,2)(D)", 6),
+            ("CNOT(1,2)(D^\u00b2)", 13),
+        ]
+    ],
+)
+def test_malformed_delay_is_syntax_error(text, column):
+    with pytest.raises(EncoderSyntaxError) as exc:
         parse(text)
+    assert (exc.value.line, exc.value.column) == (1, column)
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("qubits " + "9" * 5000, 8),
+        ("CNOT(" + "1" * 5000 + ",2)(D)", 6),
+        ("CNOT(1,2)(D^-" + "9" * 5000 + ")", 13),
+    ],
+    ids=["width", "qubit-index", "exponent"],
+)
+def test_overlong_integer_literal_is_positioned(text, column):
+    with pytest.raises(EncoderSemanticError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (1, column)
+    assert "too long" in exc.value.message
 
 
 def test_unexpected_character_positions():
