@@ -1,7 +1,8 @@
 """Minimal-memory analysis of pearl-necklace encoders for CSS quantum
-convolutional codes: parse an encoder description, build its weighted
-commutativity DAG, and read the minimal memory off the longest path, with an
-independent GF(2) simulation oracle for verification."""
+convolutional codes: parse an encoder description and read the minimal memory
+off the longest path of its weighted commutativity DAG, found in linear time
+without building the DAG.  The DAG itself is built for DOT output and as an
+oracle, next to a GF(2) simulation and a brute-force search."""
 
 from .assignment import (
     ConvGate,
@@ -10,6 +11,7 @@ from .assignment import (
     assignment_from_weights,
     conv_encoder_gates,
     frame_assignment,
+    longest_path_linear,
     longest_path_weights,
     minimal_memory,
     satisfies_constraints,
@@ -89,6 +91,7 @@ __all__ = [
     "frame_assignment",
     "gf2_rank",
     "interior_equal",
+    "longest_path_linear",
     "longest_path_weights",
     "minimal_memory",
     "parse",

@@ -1,30 +1,43 @@
-"""Longest-path search over the commutativity graph and the frame assignment
-it induces for a minimal-memory convolutional encoder.
+"""Longest-path weights of the commutativity DAG, and the frame assignment
+they induce for a minimal-memory convolutional encoder.
 
 Convolutional-encoder frames are numbered bottom to top starting at 0.  The
 longest-path weight w_k to gate vertex k is the target frame index tau_k when
 l_k >= 0 and the source frame index sigma_k when l_k < 0; the other index
 follows from sigma_k = tau_k + l_k.  The longest START -> END weight is the
 memory L in frames.
+
+Two searches give the same :class:`LongestPath`.  ``longest_path_linear`` is
+the analysis core: because every edge weight of the graph separates into a
+term for its source gate and a term for its destination gate, it needs only
+a running maximum per qubit index and runs in O(N + width) without building
+the graph.  ``longest_path_weights`` relaxes every edge of a built
+:class:`CommutativityGraph`; it is quadratic and serves as the oracle.
+``assignment_from_weights`` checks every result in linear time: a feasible
+assignment bounds the memory from above, and a critical path of real edges
+whose weights sum to the memory bounds it from below.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import START, CommutativityGraph, build_graph
+from .graph import START, CommutativityGraph
 from .model import PearlNecklace
 
 
 @dataclass(frozen=True)
 class LongestPath:
-    """Longest-path weights plus one maximizing path and a relaxation counter."""
+    """Longest-path weights plus one maximizing path, a relaxation counter and
+    the number of edges of the commutativity graph."""
 
     gate_weights: tuple[int, ...]
     end_weight: int
     path: tuple[int, ...]  # vertex ordinals, START first, END last
     relaxations: int
+    edge_count: int
 
 
 def longest_path_weights(g: CommutativityGraph) -> LongestPath:
@@ -69,6 +82,90 @@ def longest_path_weights(g: CommutativityGraph) -> LongestPath:
         end_weight=weights[end],
         path=tuple(verts),
         relaxations=relaxations,
+        edge_count=len(g.edges),
+    )
+
+
+def longest_path_linear(enc: PearlNecklace) -> LongestPath:
+    """The :func:`longest_path_weights` result for ``build_graph(enc)``, path
+    and edge count included, in O(N + width) without building the graph.
+
+    Gate j has p_j = max(l_j, 0) and q_j = max(-l_j, 0).  A source-target edge
+    i -> j adds p_i - q_j to w_i, reaching sigma_i - q_j, and a target-source
+    edge adds q_i - p_j, reaching tau_i - p_j.  So
+
+        w_j = max(0, S[b_j] - q_j, T[a_j] - p_j)
+
+    where S[q] is the largest sigma of an earlier string with source q and
+    T[q] the largest tau of an earlier string with target q.  Edges the
+    same-sign rule drops never weigh more than the edge kept from the same
+    gate, so they change neither the weight nor the predecessor.
+
+    Ties go to the lowest predecessor ordinal, as in the graph search: S and
+    T keep the lowest ordinal attaining their maximum, START wins every zero
+    weight, and END's predecessor is the lowest j with the largest
+    w_j + |l_j|.  A relaxation is one lookup that finds an earlier string,
+    plus one per gate for its END edge, so there are at most 3N.
+
+    The edge count is 2N (START and END edges) plus, per gate j, the earlier
+    strings with source b_j and those with target a_j, less the same-sign
+    earlier strings with both, whose dominated edge is dropped.
+    """
+    n = len(enc.strings)
+    slots = enc.frame_width + 1
+    sigma_max = [-1] * slots  # S by source qubit; -1 before any string
+    sigma_arg = [START] * slots  # lowest ordinal attaining sigma_max
+    tau_max = [-1] * slots  # T by target qubit
+    tau_arg = [START] * slots
+    src_count = [0] * slots
+    tgt_count = [0] * slots
+    pair_count: Counter[tuple[int, int, bool]] = Counter()  # (source, target, l >= 0)
+    weights: list[int] = []
+    pred = [START] * (n + 1)
+    end_weight, end_pred = -1, START
+    relaxations = n
+    edge_count = 2 * n
+    for j, g in enumerate(enc.strings, start=1):
+        a, b, l = g.source, g.target, g.degree
+        p, q = max(l, 0), max(-l, 0)
+        w, via = 0, START
+        if src_count[b]:
+            relaxations += 1
+            if sigma_max[b] - q > w:
+                w, via = sigma_max[b] - q, sigma_arg[b]
+        if tgt_count[a]:
+            relaxations += 1
+            reach = tau_max[a] - p
+            if reach > w or (reach == w > 0 and tau_arg[a] < via):
+                w, via = reach, tau_arg[a]
+        weights.append(w)
+        pred[j] = via
+        if w + p + q > end_weight:
+            end_weight, end_pred = w + p + q, j
+
+        edge_count += src_count[b] + tgt_count[a] - pair_count[b, a, l >= 0]
+        if w + p > sigma_max[a]:
+            sigma_max[a], sigma_arg[a] = w + p, j
+        if w + q > tau_max[b]:
+            tau_max[b], tau_arg[b] = w + q, j
+        src_count[a] += 1
+        tgt_count[b] += 1
+        pair_count[a, b, l >= 0] += 1
+
+    verts = [n + 1]
+    cur = end_pred
+    while cur != START:
+        verts.append(cur)
+        cur = pred[cur]
+    verts.append(START)
+    verts.reverse()
+
+    return LongestPath(
+        gate_weights=tuple(weights),
+        end_weight=max(end_weight, 0),
+        path=tuple(verts),
+        relaxations=relaxations,
+        edge_count=edge_count,
     )
 
 
@@ -92,7 +189,14 @@ class ConvGate(NamedTuple):
 
 
 def assignment_from_weights(enc: PearlNecklace, lp: LongestPath) -> FrameAssignment:
-    """Translate longest-path weights into frame indices via the sign rule."""
+    """Translate longest-path weights into frame indices via the sign rule.
+
+    The result is certified minimal in O(N): the assignment satisfies every
+    pair constraint and places gates in frames 0..memory (upper bound), and
+    ``lp.path`` is a START -> END chain of edges of the commutativity graph
+    whose weights sum to the memory (lower bound).  Every check raises
+    ``ValueError``, so none is stripped by ``python -O``.
+    """
     if len(lp.gate_weights) != len(enc.strings):
         raise ValueError("weights were not computed from this encoder")
     sigma: list[int] = []
@@ -118,16 +222,56 @@ def assignment_from_weights(enc: PearlNecklace, lp: LongestPath) -> FrameAssignm
         raise ValueError(
             f"longest-path weight {fa.memory} differs from the largest frame index used"
         )
+    if min(lp.gate_weights, default=0) < 0:
+        raise ValueError("longest-path weights place a gate below frame 0")
+    n = len(enc.strings)
+    if lp.path[:1] != (START,) or lp.path[-1:] != (n + 1,):
+        raise ValueError(f"critical path {lp.path} does not run from START to END")
+    total = 0
+    for u, v in zip(lp.path, lp.path[1:]):
+        weight = _edge_weight(enc, u, v)
+        if weight is None:
+            raise ValueError(f"critical path step {u} -> {v} is not a graph edge")
+        total += weight
+    if total != lp.end_weight:
+        raise ValueError(
+            f"critical path weighs {total}, not the longest-path weight {lp.end_weight}"
+        )
     return fa
 
 
+def _edge_weight(enc: PearlNecklace, u: int, v: int) -> int | None:
+    """Largest weight of an edge u -> v of ``build_graph(enc)``, or None.
+
+    START -> END counts as an edge of weight 0 when there are no gates, so
+    the path (START, END) certifies the empty encoder's memory of 0.
+    """
+    n = len(enc.strings)
+    if u == START:
+        return 0 if 1 <= v <= n or (n == 0 and v == 1) else None
+    if not 1 <= u <= n:
+        return None
+    gi = enc.strings[u - 1]
+    if v == n + 1:
+        return abs(gi.degree)
+    if not u < v <= n:
+        return None
+    gj = enc.strings[v - 1]
+    weights = []
+    if gi.source == gj.target:  # source-target: p_i - q_j
+        weights.append(max(gi.degree, 0) - max(-gj.degree, 0))
+    if gi.target == gj.source:  # target-source: q_i - p_j
+        weights.append(max(-gi.degree, 0) - max(gj.degree, 0))
+    return max(weights, default=None)
+
+
 def frame_assignment(enc: PearlNecklace) -> FrameAssignment:
-    return assignment_from_weights(enc, longest_path_weights(build_graph(enc)))
+    return assignment_from_weights(enc, longest_path_linear(enc))
 
 
 def minimal_memory(enc: PearlNecklace) -> int:
     """Minimal memory in frames of any convolutional realization."""
-    return longest_path_weights(build_graph(enc)).end_weight
+    return longest_path_linear(enc).end_weight
 
 
 def satisfies_constraints(enc: PearlNecklace, fa: FrameAssignment) -> bool:

@@ -1,8 +1,10 @@
 """Command-line front-end.
 
 Subcommands: analyze | dot | verify | brute-check | selftest.  Exit status is
-0 on success, 1 on parse or semantic errors (and other input problems), and 2
-when verify or brute-check detects a correctness mismatch.
+0 on success, 1 on parse or semantic errors (and other input problems, or
+running out of memory), and 2 when verify, brute-check or selftest detects a
+correctness mismatch.  Only ``dot`` and ``analyze --dot`` build the
+commutativity graph; every other analysis runs the linear core.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     enc = _load_encoder(args.file)
     report = analyze(enc)
     if args.dot:
-        Path(args.dot).write_text(to_dot(report.graph, enc), encoding="utf-8")
+        Path(args.dot).write_text(to_dot(build_graph(enc), enc), encoding="utf-8")
     _emit_report(report, args.json)
     return 0
 
@@ -198,6 +200,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

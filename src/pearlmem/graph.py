@@ -18,6 +18,11 @@ When a pair has both collisions and l_i, l_j lie in the same sign class (both
 >= 0 or both < 0), one constraint implies the other and only the dominant
 edge is drawn: source-target when both are >= 0, target-source when both are
 < 0.  Mixed-sign pairs with both collisions get two parallel edges.
+
+Building the graph is quadratic.  The analysis does not need it: because the
+weights separate, ``assignment.longest_path_linear`` reads the same longest
+path off running maxima per qubit.  The graph is built for DOT output and as
+the oracle that the linear search is checked against.
 """
 
 from __future__ import annotations

@@ -1,4 +1,10 @@
-"""Analysis results bundled for human-readable and JSON output."""
+"""Analysis results bundled for human-readable and JSON output.
+
+``analyze`` runs the linear analysis core and never builds the commutativity
+graph: both renderings read the vertex and edge counts and the critical path
+off the :class:`LongestPath`.  The graph is built only when ``report.graph``
+is first read, for DOT output.
+"""
 
 from __future__ import annotations
 
@@ -9,26 +15,45 @@ from .assignment import (
     FrameAssignment,
     LongestPath,
     assignment_from_weights,
-    longest_path_weights,
+    longest_path_linear,
 )
 from .graph import START, CommutativityGraph, build_graph
 from .model import PearlNecklace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AnalysisReport:
     encoder: PearlNecklace
-    graph: CommutativityGraph
     search: LongestPath
     assignment: FrameAssignment
     verification: dict | None = None
 
+    def __init__(
+        self,
+        encoder: PearlNecklace,
+        search: LongestPath,
+        assignment: FrameAssignment,
+        verification: dict | None = None,
+        graph: CommutativityGraph | None = None,
+    ) -> None:
+        object.__setattr__(self, "encoder", encoder)
+        object.__setattr__(self, "search", search)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "verification", verification)
+        object.__setattr__(self, "_graph", graph)
+
+    @property
+    def graph(self) -> CommutativityGraph:
+        """The commutativity graph, as given or built on first use."""
+        if self._graph is None:
+            object.__setattr__(self, "_graph", build_graph(self.encoder))
+        return self._graph
+
 
 def analyze(enc: PearlNecklace) -> AnalysisReport:
-    g = build_graph(enc)
-    lp = longest_path_weights(g)
+    lp = longest_path_linear(enc)
     fa = assignment_from_weights(enc, lp)
-    return AnalysisReport(encoder=enc, graph=g, search=lp, assignment=fa)
+    return AnalysisReport(encoder=enc, search=lp, assignment=fa)
 
 
 def _vertex_label(v: int, gate_count: int) -> str | int:
@@ -64,13 +89,13 @@ def to_json_dict(report: AnalysisReport) -> dict:
         "gates": gates,
         "longest_path": {
             "vertices": [
-                _vertex_label(v, report.graph.gate_count) for v in report.search.path
+                _vertex_label(v, len(enc.strings)) for v in report.search.path
             ],
             "weight": report.search.end_weight,
         },
         "graph": {
-            "vertex_count": report.graph.vertex_count,
-            "edge_count": len(report.graph.edges),
+            "vertex_count": len(enc.strings) + 2,
+            "edge_count": report.search.edge_count,
         },
     }
     if report.verification is not None:
@@ -98,12 +123,12 @@ def to_text(report: AnalysisReport) -> str:
             f"{fa.sigma[k - 1]:>6} {fa.tau[k - 1]:>4}"
         )
     path = " -> ".join(
-        str(_vertex_label(v, report.graph.gate_count)) for v in report.search.path
+        str(_vertex_label(v, len(enc.strings))) for v in report.search.path
     )
     lines.append("")
     lines.append(f"longest path: {path} (weight {report.search.end_weight})")
     lines.append(
-        f"graph: {report.graph.vertex_count} vertices, {len(report.graph.edges)} edges"
+        f"graph: {len(enc.strings) + 2} vertices, {report.search.edge_count} edges"
     )
     if report.verification is not None:
         lines.append("verification:")

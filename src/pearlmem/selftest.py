@@ -1,12 +1,19 @@
-"""Seed-controlled random self-test: graph analysis vs independent oracles."""
+"""Seed-controlled random self-test: the linear analysis core against the
+commutativity graph, brute force and the GF(2) simulation."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 
-from .assignment import conv_encoder_gates, frame_assignment
+from .assignment import (
+    assignment_from_weights,
+    conv_encoder_gates,
+    longest_path_linear,
+    longest_path_weights,
+)
 from .gf2 import brute_force_min_memory, conv_matrix, default_margin, interior_equal, pearl_matrix
+from .graph import build_graph
 from .model import PearlNecklace
 from .parser import render
 
@@ -34,14 +41,21 @@ def random_encoder(
 
 def check_instance(enc: PearlNecklace) -> str | None:
     """Run all cross-checks on one encoder; returns a failure reason or None."""
+    lp = longest_path_linear(enc)
     try:
-        fa = frame_assignment(enc)  # raises if the feasibility or memory check fails
+        fa = assignment_from_weights(enc, lp)  # raises if the certificate fails
     except ValueError as err:
         return f"assignment rejected: {err}"
 
+    oracle = longest_path_weights(build_graph(enc))
+    for name in ("gate_weights", "end_weight", "path", "edge_count"):
+        ours, theirs = getattr(lp, name), getattr(oracle, name)
+        if ours != theirs:
+            return f"linear core {name} {ours} differs from the graph's {theirs}"
+
     brute = brute_force_min_memory(enc, bound=fa.memory + 1)
     if brute != fa.memory:
-        return f"brute force found {brute}, graph found {fa.memory}"
+        return f"brute force found {brute}, linear core found {fa.memory}"
 
     margin = default_margin(enc, fa.memory)
     frames = 3 * margin
@@ -66,6 +80,8 @@ class SelftestResult:
 def run_selftest(seed: int = 0, count: int = 25) -> SelftestResult:
     """Check ``count`` random instances; failures carry the encoder text so
     they can be replayed. Instances are generated and reported in index order."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     rng = random.Random(seed)
     failures = []
     for index in range(count):

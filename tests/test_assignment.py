@@ -1,5 +1,6 @@
 """Tests for the longest-path search and the frame assignment it induces."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -20,13 +21,17 @@ from hypothesis import given
 import pearlmem
 from pearlmem import (
     START,
+    AnalysisReport,
+    analyze,
     ConstraintKind,
     FrameAssignment,
     PearlNecklace,
     build_graph,
     constraint_set,
     conv_encoder_gates,
+    assignment_from_weights,
     frame_assignment,
+    longest_path_linear,
     longest_path_weights,
     minimal_memory,
     random_encoder,
@@ -234,7 +239,7 @@ def test_satisfies_constraints_detects_violations():
 
 
 def test_corrupted_longest_path_raises_under_optimize():
-    # Both checks in assignment_from_weights must survive python -O, which
+    # Every check in assignment_from_weights must survive python -O, which
     # strips assert statements.
     script = f"""
 import dataclasses
@@ -244,6 +249,11 @@ lp = pm.longest_path_weights(pm.build_graph(enc))
 for bad in (
     dataclasses.replace(lp, gate_weights=(0,) * len(lp.gate_weights)),
     dataclasses.replace(lp, end_weight=lp.end_weight + 1),
+    dataclasses.replace(
+        lp, gate_weights=tuple(w - 1 for w in lp.gate_weights), end_weight=2
+    ),
+    dataclasses.replace(lp, path=(0, 1, 3, 6)),  # gates 1 and 3 commute
+    dataclasses.replace(lp, path=(0, 5, 6)),  # real edges, but weight 1
 ):
     try:
         pm.assignment_from_weights(enc, bad)
@@ -262,6 +272,111 @@ for bad in (
         check=True,
     )
     lines = proc.stdout.splitlines()
-    assert len(lines) == 2, proc.stdout
+    assert len(lines) == 5, proc.stdout
     assert "violates a pair constraint" in lines[0]
     assert "differs from the largest frame index" in lines[1]
+    assert "below frame 0" in lines[2]
+    assert "step 1 -> 3 is not a graph edge" in lines[3]
+    assert "critical path weighs 1, not the longest-path weight 3" in lines[4]
+
+
+def assert_same_search(enc):
+    g = build_graph(enc)
+    oracle = longest_path_weights(g)
+    lp = longest_path_linear(enc)
+    assert lp.gate_weights == oracle.gate_weights, render(enc)
+    assert lp.end_weight == oracle.end_weight, render(enc)
+    assert lp.path == oracle.path, render(enc)
+    assert lp.edge_count == oracle.edge_count == len(g.edges), render(enc)
+    assert lp.relaxations <= 3 * len(enc.strings)  # O(N) work, whatever the edges
+    return g, lp
+
+
+@given(encoders(max_strings=12, max_width=3))
+def test_linear_core_matches_graph_oracle(enc):
+    assert_same_search(enc)
+
+
+def test_linear_core_matches_graph_oracle_on_seeded_encoders():
+    # Narrow frames make collisions, and so ties between predecessors, common;
+    # the degree ranges cover mixed, all-nonnegative and all-negative strings.
+    rng = random.Random(1004_5179)
+    ranges = [(-3, 3), (0, 3), (-3, -1), (-1, 1)]
+    tied = 0  # vertices that two or more predecessors reach at their weight
+    for index in range(2000):
+        enc = random_encoder(
+            rng, max_strings=60, max_width=3, degree_range=ranges[index % len(ranges)]
+        )
+        g, lp = assert_same_search(enc)
+        weights = (0, *lp.gate_weights, lp.end_weight)
+        reached = {(u, v) for u, v, w in g.edges if weights[u] + w == weights[v]}
+        tied += sum(n > 1 for n in Counter(dst for _, dst in reached).values())
+    assert tied > 5000, tied
+
+
+def test_linear_core_work_is_linear():
+    rng = random.Random(3)
+    gates = []
+    while len(gates) < 20_000:
+        a, b, l = rng.randint(1, 4), rng.randint(1, 4), rng.randint(-3, 3)
+        if not (a == b and l == 0):
+            gates.append((a, b, l))
+    lp = longest_path_linear(PearlNecklace.from_tuples(gates, frame_width=4))
+    assert len(gates) < lp.relaxations <= 3 * len(gates)
+    assert lp.edge_count > 20_000**2 // 8  # what the graph would have held
+
+
+def graph_certifies(g, lp):
+    """Reference: lp.path is a START -> END chain of edges of g weighing lp.end_weight."""
+    if lp.path[0] != START or lp.path[-1] != g.end:
+        return False
+    if g.gate_count == 0:
+        return lp.path == (START, g.end) and lp.end_weight == 0
+    total = 0
+    for u, v in zip(lp.path, lp.path[1:]):
+        weights = [e.weight for e in g.edges if (e.src, e.dst) == (u, v)]
+        if not weights:
+            return False
+        total += max(weights)
+    return total == lp.end_weight
+
+
+def test_path_certificate_agrees_with_the_graph():
+    rng = random.Random(2011)
+    verdicts = Counter()
+    for _ in range(1500):
+        enc = random_encoder(rng, max_strings=8, max_width=3)
+        g = build_graph(enc)
+        lp = longest_path_linear(enc)
+        inner = list(lp.path[1:-1])
+        dropped = [v for v in inner if rng.random() < 0.5]
+        chosen = sorted(rng.sample(range(1, g.end), rng.randint(0, g.gate_count)))
+        for path in (
+            lp.path,
+            (START, *dropped, g.end),
+            (START, *chosen, g.end),
+            (START, *reversed(inner), g.end),
+        ):
+            cand = dataclasses.replace(lp, path=path)
+            expected = graph_certifies(g, cand)
+            try:
+                assignment_from_weights(enc, cand)
+                accepted = True
+            except ValueError as err:
+                assert "critical path" in str(err)
+                accepted = False
+            assert accepted == expected, (render(enc), path)
+            verdicts[expected] += 1
+    assert verdicts[True] > 1500 and verdicts[False] > 1500, verdicts
+
+
+def test_report_graph_is_built_on_first_read():
+    enc = make_encoder(MIX_GATES)
+    report = analyze(enc)
+    assert report.graph == build_graph(enc)
+    g = build_graph(enc)
+    given_graph = AnalysisReport(
+        encoder=enc, graph=g, search=report.search, assignment=report.assignment
+    )
+    assert given_graph.graph is g
+    assert given_graph == report

@@ -2,16 +2,21 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
-import pearlmem.assignment
+import pearlmem
+import pearlmem.cli
+import pearlmem.selftest
 from pearlmem import corpus_path
 from pearlmem.cli import main
 
 EXAMPLE1 = str(corpus_path("example1.pne"))
 EXAMPLE3 = str(corpus_path("example3.pne"))
 COMMUTING = str(corpus_path("commuting.pne"))
+CORPUS = ["commuting", "example1", "example2", "example3"]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_analyze_human_readable(capsys):
@@ -91,6 +96,48 @@ def test_analyze_writes_dot_side_output(tmp_path, capsys):
     target = tmp_path / "graph.dot"
     assert main(["analyze", EXAMPLE1, "--dot", str(target)]) == 0
     assert target.read_text().startswith("digraph")
+    direct = tmp_path / "direct.dot"
+    for name in CORPUS:
+        path = str(corpus_path(f"{name}.pne"))
+        assert main(["analyze", path, "--dot", str(target)]) == 0
+        assert main(["dot", path, "--output", str(direct)]) == 0
+        assert target.read_bytes() == direct.read_bytes(), name
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_outputs_match_golden_files(name, capsys):
+    # The golden files pin the bytes of every rendering across changes to the
+    # analysis core; regenerate them only for a deliberate format change.
+    path = str(corpus_path(f"{name}.pne"))
+    runs = {
+        "analyze.json": ["analyze", "--json", path],
+        "analyze.txt": ["analyze", path],
+        "dot": ["dot", path],
+    }
+    for suffix, argv in runs.items():
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.encode() == (GOLDEN / f"{name}.{suffix}").read_bytes(), suffix
+
+
+def test_analysis_subcommands_never_build_the_graph(monkeypatch, capsys):
+    def refuse(enc):
+        raise AssertionError("build_graph called")
+
+    monkeypatch.setattr(pearlmem.cli, "build_graph", refuse)
+    monkeypatch.setattr(pearlmem.graph, "build_graph", refuse)
+    monkeypatch.setattr(pearlmem.report, "build_graph", refuse)
+    enc = pearlmem.parse(Path(EXAMPLE1).read_text())
+    assert pearlmem.analyze(enc).assignment.memory == 3
+    for argv in (
+        ["analyze", EXAMPLE1],
+        ["analyze", "--json", EXAMPLE3],
+        ["verify", EXAMPLE3, "--frames", "12"],
+        ["brute-check", EXAMPLE1],
+    ):
+        assert main(argv) == 0, argv
+    with pytest.raises(AssertionError, match="build_graph called"):
+        main(["dot", EXAMPLE1])
 
 
 def test_verify_reports_true(capsys):
@@ -148,17 +195,49 @@ def test_selftest_json(capsys):
 
 
 def test_selftest_reports_rejected_assignment_per_instance(monkeypatch, capsys):
-    real = pearlmem.assignment.longest_path_weights
+    real = pearlmem.selftest.longest_path_linear
 
-    def corrupted(g):
-        lp = real(g)
+    def corrupted(enc):
+        lp = real(enc)
         return dataclasses.replace(lp, end_weight=lp.end_weight + 1)
 
-    monkeypatch.setattr(pearlmem.assignment, "longest_path_weights", corrupted)
+    monkeypatch.setattr(pearlmem.selftest, "longest_path_linear", corrupted)
     assert main(["selftest", "--seed", "1", "--count", "3"]) == 2
     out = capsys.readouterr().out
     assert "3 FAILED" in out
     assert out.count("assignment rejected: longest-path weight") == 3
+
+
+def test_selftest_reports_disagreement_with_the_graph(monkeypatch, capsys):
+    real = pearlmem.selftest.longest_path_weights
+
+    def miscounted(g):
+        lp = real(g)
+        return dataclasses.replace(lp, edge_count=lp.edge_count + 1)
+
+    monkeypatch.setattr(pearlmem.selftest, "longest_path_weights", miscounted)
+    assert main(["selftest", "--seed", "1", "--count", "3"]) == 2
+    out = capsys.readouterr().out
+    assert "3 FAILED" in out
+    assert out.count("linear core edge_count") == 3
+
+
+def test_selftest_rejects_negative_count(capsys):
+    assert main(["selftest", "--count", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "count must be >= 0" in captured.err
+
+
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    def exhausted(enc):
+        raise MemoryError
+
+    monkeypatch.setattr(pearlmem.cli, "analyze", exhausted)
+    assert main(["analyze", EXAMPLE1]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("args", [["analyze"], ["bogus"]])
