@@ -112,13 +112,13 @@ def longest_path_linear(enc: PearlNecklace) -> LongestPath:
     earlier strings with both, whose dominated edge is dropped.
     """
     n = len(enc.strings)
-    slots = enc.frame_width + 1
-    sigma_max = [-1] * slots  # S by source qubit; -1 before any string
-    sigma_arg = [START] * slots  # lowest ordinal attaining sigma_max
-    tau_max = [-1] * slots  # T by target qubit
-    tau_arg = [START] * slots
-    src_count = [0] * slots
-    tgt_count = [0] * slots
+    # Keyed by qubit index, so memory follows N and not the frame width.
+    sigma_max: dict[int, int] = {}  # S by source qubit
+    sigma_arg: dict[int, int] = {}  # lowest ordinal attaining sigma_max
+    tau_max: dict[int, int] = {}  # T by target qubit
+    tau_arg: dict[int, int] = {}
+    src_count: Counter[int] = Counter()
+    tgt_count: Counter[int] = Counter()
     pair_count: Counter[tuple[int, int, bool]] = Counter()  # (source, target, l >= 0)
     weights: list[int] = []
     pred = [START] * (n + 1)
@@ -144,9 +144,9 @@ def longest_path_linear(enc: PearlNecklace) -> LongestPath:
             end_weight, end_pred = w + p + q, j
 
         edge_count += src_count[b] + tgt_count[a] - pair_count[b, a, l >= 0]
-        if w + p > sigma_max[a]:
+        if w + p > sigma_max.get(a, -1):
             sigma_max[a], sigma_arg[a] = w + p, j
-        if w + q > tau_max[b]:
+        if w + q > tau_max.get(b, -1):
             tau_max[b], tau_arg[b] = w + q, j
         src_count[a] += 1
         tgt_count[b] += 1
@@ -281,13 +281,13 @@ def satisfies_constraints(enc: PearlNecklace, fa: FrameAssignment) -> bool:
     with source b_j, and its source no lower than the targets of earlier
     strings with target a_j; running maxima per qubit index hold both bounds.
     """
-    max_sigma = [float("-inf")] * (enc.frame_width + 1)  # by source qubit
-    max_tau = [float("-inf")] * (enc.frame_width + 1)  # by target qubit
+    max_sigma: dict[int, int] = {}  # by source qubit
+    max_tau: dict[int, int] = {}  # by target qubit
     for g, sigma, tau in zip(enc.strings, fa.sigma, fa.tau, strict=True):
-        if max_sigma[g.target] > tau or max_tau[g.source] > sigma:
+        if max_sigma.get(g.target, tau) > tau or max_tau.get(g.source, sigma) > sigma:
             return False
-        max_sigma[g.source] = max(max_sigma[g.source], sigma)
-        max_tau[g.target] = max(max_tau[g.target], tau)
+        max_sigma[g.source] = max(max_sigma.get(g.source, sigma), sigma)
+        max_tau[g.target] = max(max_tau.get(g.target, tau), tau)
     return True
 
 

@@ -8,6 +8,9 @@ derived from a frame assignment, compares them away from the truncation
 boundary, and brute-forces the minimal memory on small instances.  None of it
 reuses the graph construction, so agreement is evidence of correctness.
 
+A matrix is held as its rows, each a Python int used as a bitmask: bit c of
+row r is entry (r, c).  A CNOT from global qubit s to t XORs row s into row t.
+
 Conventions: stream frames are numbered 0..F-1 in pearl-necklace order (frame
 0 first); the global index of qubit q in frame f is f*n + (q-1).  Window
 frames of the convolutional block count bottom to top, so window index w maps
@@ -19,84 +22,74 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .model import ConstraintKind, PearlNecklace, constraint_set
 
+# Largest frames * frame_width simulated: a matrix holds up to that many bits
+# squared, 128 MiB at the limit.  The benchmark's widest window is 174 x 64.
+MAX_QUBITS = 1 << 15
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True)
 class Gf2Circuit:
-    """Linear action of a CNOT circuit on F frames of ``frame_width`` qubits."""
+    """Linear action of a CNOT circuit on F frames of ``frame_width`` qubits;
+    bit c of ``rows[r]`` is entry (r, c) of its matrix."""
 
     frames: int
     frame_width: int
-    matrix: np.ndarray  # uint8, shape (frames*frame_width,) * 2
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        size = self.frames * self.frame_width
-        if self.matrix.shape != (size, size):
-            raise ValueError(f"matrix shape {self.matrix.shape} != ({size},{size})")
-        self.matrix.flags.writeable = False
+        if len(self.rows) != self.total_qubits:
+            raise ValueError(f"{len(self.rows)} rows != {self.total_qubits}")
 
     @property
     def total_qubits(self) -> int:
         return self.frames * self.frame_width
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Gf2Circuit):
-            return NotImplemented
-        return (
-            self.frames == other.frames
-            and self.frame_width == other.frame_width
-            and bool(np.array_equal(self.matrix, other.matrix))
-        )
-
     def is_invertible(self) -> bool:
-        return gf2_rank(self.matrix) == self.total_qubits
+        return gf2_rank(self.rows) == self.total_qubits
 
 
-def gf2_rank(matrix: np.ndarray) -> int:
-    """Rank over GF(2) by Gaussian elimination."""
-    m = matrix.copy()
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        pivots = np.nonzero(m[rank:, col])[0]
-        if pivots.size == 0:
-            continue
-        pivot = rank + int(pivots[0])
-        if pivot != rank:
-            m[[rank, pivot]] = m[[pivot, rank]]
-        hits = np.nonzero(m[:, col])[0]
-        for r in hits:
-            if r != rank:
-                m[r] ^= m[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+def gf2_rank(rows: Sequence[int]) -> int:
+    """Rank over GF(2) of bitmask rows, by elimination on the leading bit."""
+    pivots: dict[int, int] = {}  # leading bit -> row
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+    return len(pivots)
 
 
-def _apply_cnot(matrix: np.ndarray, src_row: int, dst_row: int) -> None:
-    matrix[dst_row] ^= matrix[src_row]
+def _identity_rows(frames: int, frame_width: int) -> list[int]:
+    size = frames * frame_width
+    if size > MAX_QUBITS:
+        raise ValueError(
+            f"GF(2) simulation of {frames} frames x {frame_width} qubits = {size} "
+            f"qubits exceeds the limit of {MAX_QUBITS}"
+        )
+    return [1 << i for i in range(size)]
 
 
 def pearl_matrix(enc: PearlNecklace, frames: int) -> Gf2Circuit:
     """Truncate the pearl-necklace encoder to ``frames`` frames.
 
     Gate strings are applied in order; within a string, frames ascend.  Gates
-    whose partner frame falls outside [0, frames) are dropped.
+    whose partner frame falls outside [0, frames) are dropped.  Raises
+    ``ValueError`` when frames * frame_width exceeds :data:`MAX_QUBITS`.
     """
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
     n = enc.frame_width
-    matrix = np.eye(frames * n, dtype=np.uint8)
+    rows = _identity_rows(frames, n)
     for g in enc.strings:
         for s in range(frames):
             t = s + g.degree
             if 0 <= t < frames:
-                _apply_cnot(matrix, s * n + g.source - 1, t * n + g.target - 1)
-    return Gf2Circuit(frames, n, matrix)
+                rows[t * n + g.target - 1] ^= rows[s * n + g.source - 1]
+    return Gf2Circuit(frames, n, tuple(rows))
 
 
 def conv_matrix(
@@ -108,7 +101,8 @@ def conv_matrix(
     """Apply the convolutional block at offsets 0..frames-memory-1.
 
     ``gates`` is the block gate list ``(source, target, sigma, tau)`` with
-    window frame indices in [0, memory].
+    window frame indices in [0, memory].  Raises ``ValueError`` when
+    frames * frame_width exceeds :data:`MAX_QUBITS`.
     """
     if frames <= memory:
         raise ValueError(
@@ -118,13 +112,13 @@ def conv_matrix(
     for a, b, sigma, tau in gates:
         if not (0 <= sigma <= memory and 0 <= tau <= memory):
             raise ValueError(f"block gate ({a},{b})({sigma},{tau}) outside window")
-    matrix = np.eye(frames * n, dtype=np.uint8)
+    rows = _identity_rows(frames, n)
     for p in range(frames - memory):
         for a, b, sigma, tau in gates:
             src_frame = p + memory - sigma
             dst_frame = p + memory - tau
-            _apply_cnot(matrix, src_frame * n + a - 1, dst_frame * n + b - 1)
-    return Gf2Circuit(frames, n, matrix)
+            rows[dst_frame * n + b - 1] ^= rows[src_frame * n + a - 1]
+    return Gf2Circuit(frames, n, tuple(rows))
 
 
 def default_margin(enc: PearlNecklace, memory: int) -> int:
@@ -153,7 +147,8 @@ def interior_equal(a: Gf2Circuit, b: Gf2Circuit, margin: int) -> bool:
         raise ValueError(f"margin {margin} leaves no interior in {a.frames} frames")
     lo = margin * a.frame_width
     hi = (a.frames - margin) * a.frame_width
-    return bool(np.array_equal(a.matrix[lo:hi, lo:hi], b.matrix[lo:hi, lo:hi]))
+    mask = (1 << hi) - (1 << lo)  # columns lo..hi-1
+    return all(not (x ^ y) & mask for x, y in zip(a.rows[lo:hi], b.rows[lo:hi]))
 
 
 def brute_force_min_memory(enc: PearlNecklace, bound: int) -> int | None:

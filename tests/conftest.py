@@ -85,3 +85,58 @@ def build_graph_nonpositive(enc: PearlNecklace) -> CommutativityGraph:
                 edges.append(Edge(i, j, lj))
     edges.sort()
     return CommutativityGraph(n, tuple(edges), inspections)
+
+
+# Dense GF(2) reference: a circuit as a list of 0/1 rows, one CNOT as one
+# row XOR, with the gate order, frame order and indexing of pearlmem.gf2.
+
+
+def dense_identity(size: int) -> list[list[int]]:
+    return [[int(r == c) for c in range(size)] for r in range(size)]
+
+
+def _dense_cnot(matrix: list[list[int]], src_row: int, dst_row: int) -> None:
+    matrix[dst_row] = [x ^ y for x, y in zip(matrix[dst_row], matrix[src_row])]
+
+
+def dense_pearl_matrix(enc: PearlNecklace, frames: int) -> list[list[int]]:
+    n = enc.frame_width
+    matrix = dense_identity(frames * n)
+    for g in enc.strings:
+        for s in range(frames):
+            t = s + g.degree
+            if 0 <= t < frames:
+                _dense_cnot(matrix, s * n + g.source - 1, t * n + g.target - 1)
+    return matrix
+
+
+def dense_conv_matrix(enc: PearlNecklace, gates, memory: int, frames: int) -> list[list[int]]:
+    n = enc.frame_width
+    matrix = dense_identity(frames * n)
+    for p in range(frames - memory):
+        for a, b, sigma, tau in gates:
+            src_frame = p + memory - sigma
+            dst_frame = p + memory - tau
+            _dense_cnot(matrix, src_frame * n + a - 1, dst_frame * n + b - 1)
+    return matrix
+
+
+def dense_rank(matrix: list[list[int]]) -> int:
+    """Rank over GF(2) by Gaussian elimination, column by column."""
+    m = [row[:] for row in matrix]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                m[r] = [x ^ y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def dense_rows(rows, size: int) -> list[list[int]]:
+    """Bitmask rows (bit c of row r is entry (r, c)) as 0/1 lists."""
+    return [[(row >> c) & 1 for c in range(size)] for row in rows]

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from pearlmem import (
     longest_path_linear,
     longest_path_weights,
     minimal_memory,
+    parse,
     random_encoder,
     render,
     satisfies_constraints,
@@ -380,3 +382,15 @@ def test_report_graph_is_built_on_first_read():
     )
     assert given_graph.graph is g
     assert given_graph == report
+
+
+def test_analysis_memory_does_not_follow_the_header():
+    enc = parse("qubits 10000000\nCNOT(1,2)(D)")
+    tracemalloc.start()
+    try:
+        report = analyze(enc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.assignment.memory == 1
+    assert peak < 1_000_000

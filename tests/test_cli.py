@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,6 +170,18 @@ def test_verify_window_must_fit(capsys):
     assert "does not fit" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_simulation_over_budget(tmp_path, capsys):
+    wide = tmp_path / "wide.pne"
+    wide.write_text("qubits 100000\nCNOT(1,2)(D)\n")
+    assert main(["verify", str(wide)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: GF(2) simulation of 12 frames x 100000 qubits = 1200000 qubits "
+        "exceeds the limit of 32768\n"
+    )
+
+
 def test_brute_check_ok_line(capsys):
     assert main(["brute-check", EXAMPLE3, "--bound", "4"]) == 0
     assert capsys.readouterr().out == "graph=3 brute=3 OK\n"
@@ -244,3 +259,13 @@ def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
 def test_usage_errors(args, capsys):
     with pytest.raises(SystemExit):
         main(args)
+
+
+def test_cli_start_up_does_not_import_numpy():
+    src = str(Path(pearlmem.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, "-c", "import pearlmem.cli, sys; assert 'numpy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+        check=True,
+    )

@@ -2,10 +2,20 @@
 
 import random
 
-import numpy as np
 import pytest
-from conftest import COMMUTING_GATES, MIX_GATES, NEG_GATES, POS_GATES, make_encoder
+from conftest import (
+    COMMUTING_GATES,
+    MIX_GATES,
+    NEG_GATES,
+    POS_GATES,
+    dense_conv_matrix,
+    dense_pearl_matrix,
+    dense_rank,
+    dense_rows,
+    make_encoder,
+)
 
+import pearlmem.gf2
 from pearlmem import (
     PearlNecklace,
     brute_force_min_memory,
@@ -25,26 +35,18 @@ from pearlmem import (
 
 def test_pearl_matrix_frame_local_string():
     circuit = pearl_matrix(make_encoder([(1, 2, 0)], frame_width=2), frames=2)
-    expected = np.array(
-        [
-            [1, 0, 0, 0],
-            [1, 1, 0, 0],
-            [0, 0, 1, 0],
-            [0, 0, 1, 1],
-        ],
-        dtype=np.uint8,
-    )
-    assert np.array_equal(circuit.matrix, expected)
+    # Row r, bit c is entry (r, c): the rows of [[1,0,0,0], [1,1,0,0], ...].
+    assert circuit.rows == (0b0001, 0b0011, 0b0100, 0b1100)
 
 
 def test_pearl_matrix_drops_straddling_gates():
     circuit = pearl_matrix(make_encoder([(1, 3, 1)]), frames=1)
-    assert np.array_equal(circuit.matrix, np.eye(3, dtype=np.uint8))
+    assert circuit.rows == (0b001, 0b010, 0b100)
 
 
 def test_pearl_matrix_empty_encoder_is_identity():
     circuit = pearl_matrix(PearlNecklace((), 2), frames=3)
-    assert np.array_equal(circuit.matrix, np.eye(6, dtype=np.uint8))
+    assert circuit.rows == tuple(1 << i for i in range(6))
     assert circuit.is_invertible()
 
 
@@ -155,10 +157,58 @@ def test_matrices_are_invertible():
 
 
 def test_gf2_rank():
-    assert gf2_rank(np.eye(4, dtype=np.uint8)) == 4
-    assert gf2_rank(np.zeros((3, 3), dtype=np.uint8)) == 0
-    singular = np.array([[1, 1], [1, 1]], dtype=np.uint8)
-    assert gf2_rank(singular) == 1
+    assert gf2_rank((0b0001, 0b0010, 0b0100, 0b1000)) == 4
+    assert gf2_rank((0, 0, 0)) == 0
+    assert gf2_rank((0b11, 0b11)) == 1
+
+
+def test_bit_rows_match_the_dense_reference():
+    """Matrices, ranks and interior verdicts agree with the list-of-lists
+    simulation in conftest on seeded encoders, at three windows and every
+    valid margin.  Rank is also taken of pearl XOR conv, which is often
+    singular."""
+    rng = random.Random(4)
+    comparisons = 0
+    for _ in range(150):
+        enc = random_encoder(rng)
+        fa = frame_assignment(enc)
+        gates = conv_encoder_gates(enc, fa)
+        for frames in (fa.memory + 1, fa.memory + 3, 3 * default_margin(enc, fa.memory)):
+            size = frames * enc.frame_width
+            pearl = pearl_matrix(enc, frames)
+            conv = conv_matrix(enc, gates, fa.memory, frames)
+            dense_pearl = dense_pearl_matrix(enc, frames)
+            dense_conv = dense_conv_matrix(enc, gates, fa.memory, frames)
+            assert dense_rows(pearl.rows, size) == dense_pearl
+            assert dense_rows(conv.rows, size) == dense_conv
+            assert gf2_rank(pearl.rows) == dense_rank(dense_pearl) == size
+            diff = [x ^ y for x, y in zip(pearl.rows, conv.rows)]
+            assert gf2_rank(diff) == dense_rank(dense_rows(diff, size))
+            for margin in range((frames + 1) // 2):
+                lo = margin * enc.frame_width
+                hi = size - lo
+                expected = [r[lo:hi] for r in dense_pearl[lo:hi]] == [
+                    r[lo:hi] for r in dense_conv[lo:hi]
+                ]
+                assert interior_equal(pearl, conv, margin) == expected
+                comparisons += 1
+    assert comparisons > 1500
+
+
+def test_simulation_size_is_budgeted(monkeypatch):
+    wide = PearlNecklace((), 100000)
+    with pytest.raises(ValueError, match="1200000 qubits exceeds the limit of 32768"):
+        pearl_matrix(wide, 12)
+    with pytest.raises(ValueError, match="1200000 qubits exceeds the limit of 32768"):
+        conv_matrix(wide, [], 0, 12)
+    monkeypatch.setattr(pearlmem.gf2, "MAX_QUBITS", 12)
+    enc = make_encoder([(1, 2, 0)], frame_width=2)
+    assert pearl_matrix(enc, 6).total_qubits == 12
+    assert conv_matrix(enc, [(1, 2, 0, 0)], 0, 6).total_qubits == 12
+    with pytest.raises(ValueError, match="limit of 12"):
+        pearl_matrix(enc, 7)
+    with pytest.raises(ValueError, match="limit of 12"):
+        conv_matrix(enc, [(1, 2, 0, 0)], 0, 7)
 
 
 def test_brute_force_examples():

@@ -3,6 +3,7 @@
 import pytest
 from conftest import encoders, make_encoder
 from hypothesis import given
+from hypothesis import strategies as st
 
 from pearlmem import (
     EncoderSemanticError,
@@ -168,4 +169,40 @@ def test_render_degree_notation():
 
 @given(encoders(max_strings=8, max_width=6, degree_range=(-5, 5)))
 def test_round_trip(enc):
+    assert parse(render(enc)) == enc
+
+
+# Whole statements, every token of the grammar, near misses and separators;
+# noise adds any text.
+STATEMENTS = [
+    "qubits 3\n", "CNOT(1,2)(D)", "CNOT(2,1)(1)", "CNOT(3,3)(D^-2)",
+    "CNOT (1 ,2)(D ^ 3)", "CNOT(02,1)(D^-0)", "\n# CNOT(1,2)(D)\n",
+]
+GRAMMAR_TOKENS = [
+    "qubits", "CNOT", "(", ")", ",", "^", "D", "D^", "1", "2", "3", "0", "-",
+    "-1", "-0", "007", "9" * 4301, " ", "\n", "\t", "\r\n", "#", "# c\n",
+    "H", "P", "CPHASE", "x", "_", "\u0663", "\u00b2",
+]
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(STATEMENTS),
+            st.sampled_from(GRAMMAR_TOKENS),
+            st.text(max_size=3),
+        ),
+        max_size=40,
+    ).map("".join)
+)
+def test_grammar_fuzz(text):
+    """Any text parses, or fails with a position inside it (one past the end
+    of a line for end of input); what parses renders to a fixed point."""
+    try:
+        enc = parse(text)
+    except ParseError as err:
+        lines = text.split("\n")
+        assert 1 <= err.line <= len(lines)
+        assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+        return
     assert parse(render(enc)) == enc
