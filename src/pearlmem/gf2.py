@@ -27,6 +27,9 @@ from .model import ConstraintKind, PearlNecklace, constraint_set
 # Largest frames * frame_width simulated: a matrix holds up to that many bits
 # squared, 128 MiB at the limit.  The benchmark's widest window is 174 x 64.
 MAX_QUBITS = 1 << 15
+# Most gate strings brute-forced: N = 18 takes about 0.6 s, and N = 22 does not
+# finish within a minute.
+MAX_BRUTE_STRINGS = 18
 
 
 @dataclass(frozen=True)
@@ -159,11 +162,17 @@ def brute_force_min_memory(enc: PearlNecklace, bound: int) -> int | None:
     is feasible when every pair constraint holds; the result is the minimum
     over feasible assignments of max(sigma, tau), or None when no feasible
     assignment exists within the bound.  Independent of the graph search;
-    intended for small instances only.
+    raises ``ValueError`` before searching when N exceeds
+    :data:`MAX_BRUTE_STRINGS`.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     n = len(enc.strings)
+    if n > MAX_BRUTE_STRINGS:
+        raise ValueError(
+            f"brute force over {n} gate strings exceeds the limit of "
+            f"{MAX_BRUTE_STRINGS}"
+        )
     degrees = [g.degree for g in enc.strings]
     by_later: list[list[tuple[int, ConstraintKind]]] = [[] for _ in range(n)]
     for c in constraint_set(enc):

@@ -19,14 +19,20 @@ When a pair has both collisions and l_i, l_j lie in the same sign class (both
 edge is drawn: source-target when both are >= 0, target-source when both are
 < 0.  Mixed-sign pairs with both collisions get two parallel edges.
 
-Building the graph is quadratic.  The analysis does not need it: because the
-weights separate, ``assignment.longest_path_linear`` reads the same longest
-path off running maxima per qubit.  The graph is built for DOT output and as
-the oracle that the linear search is checked against.
+Building the graph takes O(N + E) time for E edges.  The gate strings are
+bucketed by source qubit, by target qubit and by (source, target, sign class),
+so the later strings that collide with string i are read straight off the
+buckets of its qubits instead of being found among all N(N-1)/2 pairs.  The
+analysis does not need the graph: because the weights separate,
+``assignment.longest_path_linear`` reads the same longest path off running
+maxima per qubit.  The graph is built for DOT output and as the oracle that
+the linear search is checked against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,33 +70,50 @@ class CommutativityGraph:
         )
 
 
-def _boundary_edges(degrees: list[int], n: int) -> list[Edge]:
-    end = n + 1
-    edges = [Edge(START, j, 0) for j in range(1, n + 1)]
-    edges.extend(Edge(j, end, abs(degrees[j - 1])) for j in range(1, n + 1))
-    return edges
+def _later(buckets: dict, key: object, i: int) -> list[int]:
+    """The ordinals after ``i`` in the ascending bucket ``buckets[key]``."""
+    ordinals = buckets.get(key, [])
+    return ordinals[bisect_right(ordinals, i):]
 
 
 def build_graph(enc: PearlNecklace) -> CommutativityGraph:
-    """Build the commutativity graph, inspecting each pair i < j once."""
-    gates = [
-        (g.source, g.target, max(g.degree, 0), max(-g.degree, 0), g.degree >= 0)
-        for g in enc.strings
-    ]
-    n = len(gates)
-    edges = _boundary_edges([g.degree for g in enc.strings], n)
-    for j in range(2, n + 1):
-        aj, bj, pj, qj, nonneg_j = gates[j - 1]
-        for i, (ai, bi, pi, qi, nonneg_i) in enumerate(gates[: j - 1], start=1):
-            st = ai == bj
-            ts = bi == aj
-            if st and ts and nonneg_i == nonneg_j:  # keep only the dominant edge
-                st, ts = nonneg_i, not nonneg_i
-            if st:
-                edges.append(Edge(i, j, pi - qj))
-            if ts:
-                edges.append(Edge(i, j, qi - pj))
-    edges.sort()
+    """Build the commutativity graph in O(N + E) time.
+
+    ``pair_inspections`` is N(N-1)/2, the number of pairs i < j whose
+    collisions the graph decides; no loop runs over those pairs.
+    """
+    n = len(enc.strings)
+    p = [0] * (n + 1)
+    q = [0] * (n + 1)
+    by_source: defaultdict[int, list[int]] = defaultdict(list)
+    by_target: defaultdict[int, list[int]] = defaultdict(list)
+    by_pair: defaultdict[tuple[int, int, bool], list[int]] = defaultdict(list)
+    for k, g in enumerate(enc.strings, start=1):
+        p[k], q[k] = max(g.degree, 0), max(-g.degree, 0)
+        by_source[g.source].append(k)
+        by_target[g.target].append(k)
+        by_pair[g.source, g.target, g.degree >= 0].append(k)
+
+    end = n + 1
+    edges = [Edge(START, j, 0) for j in range(1, n + 1)]
+    for i, g in enumerate(enc.strings, start=1):
+        st = _later(by_target, g.source, i)  # a_i == b_j
+        ts = _later(by_source, g.target, i)  # b_i == a_j
+        # Same sign class and both collisions: keep only the dominant edge.
+        nonneg = g.degree >= 0
+        doubles = _later(by_pair, (g.target, g.source, nonneg), i)
+        if doubles:
+            dropped = set(doubles)
+            if nonneg:
+                ts = [j for j in ts if j not in dropped]
+            else:
+                st = [j for j in st if j not in dropped]
+        pi, qi = p[i], q[i]
+        out = [Edge(i, j, pi - q[j]) for j in st]
+        out.extend([Edge(i, j, qi - p[j]) for j in ts])
+        out.sort()  # merges two ascending runs
+        edges.extend(out)
+        edges.append(Edge(i, end, abs(g.degree)))
     return CommutativityGraph(n, tuple(edges), n * (n - 1) // 2)
 
 
@@ -99,20 +122,13 @@ def to_dot(g: CommutativityGraph, enc: PearlNecklace) -> str:
     if len(enc.strings) != g.gate_count:
         raise ValueError("graph was not built from this encoder")
 
-    def vertex_name(v: int) -> str:
-        if v == START:
-            return "START"
-        if v == g.end:
-            return "END"
-        return str(v)
-
+    names = ["START", *map(str, range(1, g.end)), "END"]
     lines = ["digraph commutativity {", "  rankdir=LR;", '  START [label="START"];']
     for k, gate in enumerate(enc.strings, start=1):
         lines.append(f'  {k} [label="{k}: {gate.notation()}"];')
     lines.append('  END [label="END"];')
-    for e in g.edges:  # already sorted by (src, dst, weight)
-        lines.append(
-            f'  {vertex_name(e.src)} -> {vertex_name(e.dst)} [label="{e.weight}"];'
-        )
+    lines.extend(  # edges are already sorted by (src, dst, weight)
+        f'  {names[s]} -> {names[d]} [label="{w}"];' for s, d, w in g.edges
+    )
     lines.append("}")
     return "\n".join(lines) + "\n"

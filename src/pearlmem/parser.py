@@ -9,8 +9,9 @@ comment; files are UTF-8)::
     delay  := "1" | "D" | "D^" SINT
 
 ``(1)`` means degree 0, ``(D)`` degree 1 and ``(D^k)`` degree k for any signed
-integer k (``D^0`` is accepted as a synonym for ``1``).  When the ``qubits``
-header is omitted the frame width defaults to the largest qubit index used.
+integer k (``D^0`` is accepted as a synonym for ``1``; a signed zero such as
+``D^-0`` is a syntax error).  When the ``qubits`` header is omitted the frame
+width defaults to the largest qubit index used.
 """
 
 from __future__ import annotations
@@ -214,7 +215,12 @@ class _Parser:
             if self.peek().kind == "CARET":
                 self.advance()
                 exp = self.expect("INT", "integer exponent after 'D^'")
-                return self.int_value(exp)
+                value = self.int_value(exp)
+                if value == 0 and exp.text.startswith("-"):
+                    raise self.syntax_error(
+                        exp, f"exponent {exp.text!r} is a signed zero; write 'D^0' or '1'"
+                    )
+                return value
             return 1
         found = repr(tok.text) if tok.kind != "EOF" else "end of input"
         raise self.syntax_error(

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from pearlmem import CommutativityGraph, Edge, PearlNecklace
-from pearlmem.graph import _boundary_edges
+from pearlmem import START, CommutativityGraph, Edge, PearlNecklace
 
 # The three bundled five-string encoders plus the commuting pair, as triples.
 POS_GATES = [(2, 3, 1), (1, 2, 1), (2, 3, 2), (1, 2, 0), (2, 1, 1)]
@@ -41,8 +40,39 @@ def encoders(
     return PearlNecklace.from_tuples(gates, frame_width=width)
 
 
-# Reference builders for encoders whose degrees all share one sign, each with
-# its own sign case written out; build_graph must agree with them edge for edge.
+# Reference builders: the pair loop that inspects each pair i < j once, and
+# one builder per sign class with its own sign case written out.  build_graph
+# must agree with them edge for edge.
+
+
+def _boundary_edges(degrees: list[int], n: int) -> list[Edge]:
+    end = n + 1
+    edges = [Edge(START, j, 0) for j in range(1, n + 1)]
+    edges.extend(Edge(j, end, abs(degrees[j - 1])) for j in range(1, n + 1))
+    return edges
+
+
+def build_graph_pairwise(enc: PearlNecklace) -> CommutativityGraph:
+    """Build the commutativity graph, inspecting each pair i < j once."""
+    gates = [
+        (g.source, g.target, max(g.degree, 0), max(-g.degree, 0), g.degree >= 0)
+        for g in enc.strings
+    ]
+    n = len(gates)
+    edges = _boundary_edges([g.degree for g in enc.strings], n)
+    for j in range(2, n + 1):
+        aj, bj, pj, qj, nonneg_j = gates[j - 1]
+        for i, (ai, bi, pi, qi, nonneg_i) in enumerate(gates[: j - 1], start=1):
+            st = ai == bj
+            ts = bi == aj
+            if st and ts and nonneg_i == nonneg_j:  # keep only the dominant edge
+                st, ts = nonneg_i, not nonneg_i
+            if st:
+                edges.append(Edge(i, j, pi - qj))
+            if ts:
+                edges.append(Edge(i, j, qi - pj))
+    edges.sort()
+    return CommutativityGraph(n, tuple(edges), n * (n - 1) // 2)
 
 
 def build_graph_nonnegative(enc: PearlNecklace) -> CommutativityGraph:

@@ -75,6 +75,17 @@ def test_parse_error_exit_code_and_diagnostic(tmp_path, capsys):
     assert "single qubit" in err
 
 
+def test_signed_zero_exponent_is_a_positioned_error(tmp_path, capsys):
+    bad = tmp_path / "bad.pne"
+    bad.write_text("CNOT(1,2)(D)\nCNOT(1,2)(D^-0)\n")
+    assert main(["analyze", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{bad}:2:13: exponent '-0' is a signed zero; write 'D^0' or '1'\n"
+    )
+
+
 def test_missing_file_is_reported(capsys):
     assert main(["analyze", "does-not-exist.pne"]) == 1
     assert "does-not-exist.pne" in capsys.readouterr().err
@@ -179,6 +190,17 @@ def test_verify_refuses_a_simulation_over_budget(tmp_path, capsys):
     assert captured.err == (
         "error: GF(2) simulation of 12 frames x 100000 qubits = 1200000 qubits "
         "exceeds the limit of 32768\n"
+    )
+
+
+def test_brute_check_refuses_an_encoder_over_budget(tmp_path, capsys):
+    long = tmp_path / "long.pne"
+    long.write_text("qubits 2\n" + "CNOT(1,2)(D)\n" * 19)
+    assert main(["brute-check", str(long)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: brute force over 19 gate strings exceeds the limit of 18\n"
     )
 
 

@@ -225,6 +225,16 @@ def test_brute_force_exceeds_bound_is_a_value():
         brute_force_min_memory(make_encoder(POS_GATES), bound=-1)
 
 
+def test_brute_force_size_is_budgeted(monkeypatch):
+    chain = [(1, 2, 1)] * (pearlmem.gf2.MAX_BRUTE_STRINGS + 1)
+    with pytest.raises(ValueError, match="19 gate strings exceeds the limit of 18"):
+        brute_force_min_memory(make_encoder(chain), bound=0)
+    monkeypatch.setattr(pearlmem.gf2, "MAX_BRUTE_STRINGS", 5)
+    assert brute_force_min_memory(make_encoder(POS_GATES), bound=4) == 3
+    with pytest.raises(ValueError, match="6 gate strings exceeds the limit of 5"):
+        brute_force_min_memory(make_encoder(POS_GATES + [(1, 2, 0)]), bound=4)
+
+
 def test_brute_force_matches_graph_on_random_instances():
     rng = random.Random(404)
     for _ in range(150):

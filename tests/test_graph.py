@@ -1,6 +1,8 @@
 """Tests for commutativity-graph construction and DOT export."""
 
 import random
+import time
+from collections import Counter
 
 import pytest
 from conftest import (
@@ -8,12 +10,20 @@ from conftest import (
     POS_GATES,
     build_graph_nonnegative,
     build_graph_nonpositive,
+    build_graph_pairwise,
     encoders,
     make_encoder,
 )
 from hypothesis import given
 
-from pearlmem import START, build_graph, constraint_set, random_encoder, to_dot
+from pearlmem import (
+    START,
+    PearlNecklace,
+    build_graph,
+    constraint_set,
+    random_encoder,
+    to_dot,
+)
 
 
 def test_unidirectional_gate_edges():
@@ -94,6 +104,47 @@ def test_mixed_equals_nonpositive_builder_on_negative_input():
     for _ in range(60):
         enc = random_encoder(rng, degree_range=(-3, -1))
         assert build_graph(enc).edges == build_graph_nonpositive(enc).edges
+
+
+def test_graph_matches_the_pairwise_reference_on_seeded_encoders():
+    # Narrow frames make double collisions common; the degree ranges give
+    # same-sign pairs of both classes and mixed-sign parallel pairs.
+    rng = random.Random(5179)
+    ranges = [(-3, 3), (-3, -1), (0, 3), (-5, 5), (1, 4)]
+    same_sign_doubles = parallel_pairs = 0
+    for index in range(2000):
+        enc = random_encoder(
+            rng, max_strings=40, max_width=5, degree_range=ranges[index % len(ranges)]
+        )
+        g, ref = build_graph(enc), build_graph_pairwise(enc)
+        assert g == ref
+        assert to_dot(g, enc) == to_dot(ref, enc)
+        gates = enc.strings
+        for i, gi in enumerate(gates):
+            for gj in gates[i + 1 :]:
+                if gi.source == gj.target and gi.target == gj.source:
+                    if (gi.degree >= 0) == (gj.degree >= 0):
+                        same_sign_doubles += 1
+        parallel_pairs += sum(
+            n == 2 for n in Counter((e.src, e.dst) for e in g.gate_edges()).values()
+        )
+    assert same_sign_doubles > 50_000, same_sign_doubles
+    assert parallel_pairs > 10_000, parallel_pairs
+
+
+def test_graph_work_follows_the_edges():
+    # No two strings share a qubit, so there are no gate-to-gate edges; a loop
+    # over the N(N-1)/2 pairs would take about 2e8 iterations here.
+    n = 20_000
+    enc = PearlNecklace.from_tuples(
+        [(2 * k - 1, 2 * k, 1) for k in range(1, n + 1)], frame_width=2 * n
+    )
+    start = time.perf_counter()
+    g = build_graph(enc)
+    elapsed = time.perf_counter() - start
+    assert len(g.edges) == 2 * n
+    assert g.pair_inspections == n * (n - 1) // 2
+    assert elapsed < 1.0, elapsed
 
 
 def test_edge_count_bound():

@@ -99,6 +99,16 @@ def test_malformed_delay_is_syntax_error(text, column):
     assert (exc.value.line, exc.value.column) == (1, column)
 
 
+@pytest.mark.parametrize("exponent", ["-0", "-00"])
+def test_signed_zero_exponent_is_syntax_error(exponent):
+    with pytest.raises(EncoderSyntaxError) as exc:
+        parse(f"qubits 2\nCNOT(1,2)(D^{exponent})", name="zero.pne")
+    assert str(exc.value) == (
+        f"zero.pne:2:13: exponent '{exponent}' is a signed zero; write 'D^0' or '1'"
+    )
+    assert parse("CNOT(1,2)(D^0)") == parse("CNOT(1,2)(1)")
+
+
 @pytest.mark.parametrize(
     "text, column",
     [
