@@ -30,7 +30,6 @@ from .gf2 import (
 from .graph import (
     START,
     CommutativityGraph,
-    Edge,
     build_graph,
     to_dot,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "CommutativityGraph",
     "ConstraintKind",
     "ConvGate",
-    "Edge",
     "EncoderSemanticError",
     "EncoderSyntaxError",
     "FrameAssignment",

@@ -21,15 +21,13 @@ whose weights sum to the memory bounds it from below.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import START, CommutativityGraph
 from .model import PearlNecklace
 
 
-@dataclass(frozen=True)
-class LongestPath:
+class LongestPath(NamedTuple):
     """Longest-path weights plus one maximizing path, a relaxation counter and
     the number of edges of the commutativity graph."""
 
@@ -125,8 +123,7 @@ def longest_path_linear(enc: PearlNecklace) -> LongestPath:
     end_weight, end_pred = -1, START
     relaxations = n
     edge_count = 2 * n
-    for j, g in enumerate(enc.strings, start=1):
-        a, b, l = g.source, g.target, g.degree
+    for j, (a, b, l) in enumerate(enc.strings, start=1):
         p, q = max(l, 0), max(-l, 0)
         w, via = 0, START
         if src_count[b]:
@@ -169,8 +166,7 @@ def longest_path_linear(enc: PearlNecklace) -> LongestPath:
     )
 
 
-@dataclass(frozen=True)
-class FrameAssignment:
+class FrameAssignment(NamedTuple):
     """Per gate string, convolutional-encoder frame indices and the memory."""
 
     sigma: tuple[int, ...]

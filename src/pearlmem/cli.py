@@ -1,32 +1,50 @@
 """Command-line front-end.
 
 Subcommands: analyze | dot | verify | brute-check | selftest.  Exit status is
-0 on success, 1 on parse or semantic errors (and other input problems, or
-running out of memory), and 2 when verify, brute-check or selftest detects a
-correctness mismatch.  Only ``dot`` and ``analyze --dot`` build the
+0 on success, 1 on parse or semantic errors (a file that is not UTF-8
+included), usage errors, other input problems or running out of memory, and
+2 only when verify, brute-check or selftest detects a correctness mismatch.  Only ``dot`` and ``analyze --dot`` build the
 commutativity graph; every other analysis runs the linear core.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .assignment import conv_encoder_gates
 from .gf2 import brute_force_min_memory, conv_matrix, fitted_margin, interior_equal, pearl_matrix
 from .graph import build_graph, to_dot
 from .model import PearlNecklace
-from .parser import ParseError, SourceText, parse
+from .parser import EncoderSyntaxError, ParseError, SourceText, parse
 from .report import AnalysisReport, analyze, to_json, to_text
 from .selftest import run_selftest
 
 
+def _universal_newlines(text: str) -> str:
+    """The text as text-mode reading gives it: CRLF and CR become LF."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load_encoder(path: str) -> PearlNecklace:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse(SourceText(text, name=path))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        before = _universal_newlines(data[: err.start].decode("utf-8"))
+        line = before.count("\n") + 1
+        column = len(before) - before.rfind("\n")
+        raise EncoderSyntaxError(
+            path, line, column, f"byte 0x{data[err.start]:02x} is not UTF-8 ({err.reason})"
+        ) from None
+    return parse(SourceText(_universal_newlines(text), name=path))
+
+
+def _with_verification(report: AnalysisReport, verification: dict) -> AnalysisReport:
+    return AnalysisReport(report.encoder, report.search, report.assignment, verification)
 
 
 def _emit_report(report: AnalysisReport, as_json: bool) -> None:
@@ -72,7 +90,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "margin": margin,
     }
     if args.json:
-        _emit_report(dataclasses.replace(report, verification=verification), True)
+        _emit_report(_with_verification(report, verification), True)
     else:
         print(
             f"interior_equal={'TRUE' if equal else 'FALSE'} "
@@ -103,7 +121,7 @@ def _cmd_brute_check(args: argparse.Namespace) -> int:
         "match": ok,
     }
     if args.json:
-        _emit_report(dataclasses.replace(report, verification=verification), True)
+        _emit_report(_with_verification(report, verification), True)
     else:
         print(f"graph={memory} brute={brute_text} {'OK' if ok else 'MISMATCH'}")
     if not ok:
@@ -132,8 +150,16 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if result.ok else 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, like other input errors; 2 means a mismatch."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="pearlmem",
         description=(
             "Compute the minimal quantum memory of a pearl-necklace encoder "

@@ -19,8 +19,7 @@ to global frame p + (L - w) for block application p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import ConstraintKind, PearlNecklace, constraint_set
 
@@ -32,18 +31,26 @@ MAX_QUBITS = 1 << 15
 MAX_BRUTE_STRINGS = 18
 
 
-@dataclass(frozen=True)
-class Gf2Circuit:
-    """Linear action of a CNOT circuit on F frames of ``frame_width`` qubits;
-    bit c of ``rows[r]`` is entry (r, c) of its matrix."""
-
+class _CircuitFields(NamedTuple):
     frames: int
     frame_width: int
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.total_qubits:
-            raise ValueError(f"{len(self.rows)} rows != {self.total_qubits}")
+
+class Gf2Circuit(_CircuitFields):
+    """Linear action of a CNOT circuit on F frames of ``frame_width`` qubits;
+    bit c of ``rows[r]`` is entry (r, c) of its matrix."""
+
+    __slots__ = ()
+
+    def __new__(cls, frames: int, frame_width: int, rows: tuple[int, ...]) -> "Gf2Circuit":
+        if len(rows) != frames * frame_width:
+            raise ValueError(f"{len(rows)} rows != {frames * frame_width}")
+        return tuple.__new__(cls, (frames, frame_width, rows))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Gf2Circuit":  # _replace validates too
+        return cls(*iterable)
 
     @property
     def total_qubits(self) -> int:
@@ -87,11 +94,11 @@ def pearl_matrix(enc: PearlNecklace, frames: int) -> Gf2Circuit:
         raise ValueError(f"frames must be >= 1, got {frames}")
     n = enc.frame_width
     rows = _identity_rows(frames, n)
-    for g in enc.strings:
+    for source, target, degree in enc.strings:  # unpacked once, not per frame
         for s in range(frames):
-            t = s + g.degree
+            t = s + degree
             if 0 <= t < frames:
-                rows[t * n + g.target - 1] ^= rows[s * n + g.source - 1]
+                rows[t * n + target - 1] ^= rows[s * n + source - 1]
     return Gf2Circuit(frames, n, tuple(rows))
 
 

@@ -1,11 +1,12 @@
 """Weighted commutativity DAG over the gate strings of a pearl-necklace encoder.
 
-Vertices are ordered START (0), gate strings 1..N, END (N+1).  START connects
-to every gate vertex with weight 0 and every gate vertex j connects to END
-with weight |l_j|.  A gate-to-gate edge i -> j exists only when the pair
-(i, j) fails to commute; its weight encodes how far the collision pushes gate
-j's frame placement.  The longest START -> END path equals the minimal memory
-of any convolutional realization.
+Vertices are ordered START (0), gate strings 1..N, END (N+1); an edge is a
+plain ``(src, dst, weight)`` tuple.  START connects to every gate vertex with
+weight 0 and every gate vertex j connects to END with weight |l_j|.  A
+gate-to-gate edge i -> j exists only when the pair (i, j) fails to commute;
+its weight encodes how far the collision pushes gate j's frame placement.
+The longest START -> END path equals the minimal memory of any convolutional
+realization.
 
 Gate k has a sigma-offset p_k = max(l_k, 0) and a tau-offset q_k = max(-l_k, 0),
 so that sigma_k = w_k + p_k and tau_k = w_k + q_k for its longest-path weight
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import PearlNecklace
@@ -41,18 +41,12 @@ from .model import PearlNecklace
 START = 0
 
 
-class Edge(NamedTuple):
-    src: int
-    dst: int
-    weight: int
-
-
-@dataclass(frozen=True)
-class CommutativityGraph:
-    """Immutable weighted DAG; edges are sorted by (src, dst, weight)."""
+class CommutativityGraph(NamedTuple):
+    """Immutable weighted DAG; its edges are ``(src, dst, weight)`` triples
+    sorted in that order."""
 
     gate_count: int
-    edges: tuple[Edge, ...]
+    edges: tuple[tuple[int, int, int], ...]
     pair_inspections: int
 
     @property
@@ -63,11 +57,10 @@ class CommutativityGraph:
     def vertex_count(self) -> int:
         return self.gate_count + 2
 
-    def gate_edges(self) -> tuple[Edge, ...]:
+    def gate_edges(self) -> tuple[tuple[int, int, int], ...]:
         """Edges between gate vertices only (START/END edges stripped)."""
-        return tuple(
-            e for e in self.edges if e.src != START and e.dst != self.end
-        )
+        end = self.end
+        return tuple(e for e in self.edges if e[0] != START and e[1] != end)
 
 
 def _later(buckets: dict, key: object, i: int) -> list[int]:
@@ -95,7 +88,7 @@ def build_graph(enc: PearlNecklace) -> CommutativityGraph:
         by_pair[g.source, g.target, g.degree >= 0].append(k)
 
     end = n + 1
-    edges = [Edge(START, j, 0) for j in range(1, n + 1)]
+    edges = [(START, j, 0) for j in range(1, n + 1)]
     for i, g in enumerate(enc.strings, start=1):
         st = _later(by_target, g.source, i)  # a_i == b_j
         ts = _later(by_source, g.target, i)  # b_i == a_j
@@ -109,11 +102,11 @@ def build_graph(enc: PearlNecklace) -> CommutativityGraph:
             else:
                 st = [j for j in st if j not in dropped]
         pi, qi = p[i], q[i]
-        out = [Edge(i, j, pi - q[j]) for j in st]
-        out.extend([Edge(i, j, qi - p[j]) for j in ts])
+        out = [(i, j, pi - q[j]) for j in st]
+        out.extend([(i, j, qi - p[j]) for j in ts])
         out.sort()  # merges two ascending runs
         edges.extend(out)
-        edges.append(Edge(i, end, abs(g.degree)))
+        edges.append((i, end, abs(g.degree)))
     return CommutativityGraph(n, tuple(edges), n * (n - 1) // 2)
 
 

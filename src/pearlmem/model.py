@@ -6,13 +6,22 @@ every frame ``s`` to qubit ``b`` of frame ``s + l``.  A pair of gate strings is
 flagged as non-commuting when the source qubit index of one equals the target
 qubit index of the other; those collisions are what the rest of the package
 turns into scheduling constraints.
+
+The package's records are immutable values.  Most are ``typing.NamedTuple``
+classes, so they unpack, compare equal to plain tuples of the same fields and
+copy with ``_replace``; those that validate their fields (``GateString``,
+``PairConstraint``, ``gf2.Gf2Circuit``) do so in ``__new__``, which
+``_replace`` also goes through.  ``PearlNecklace``, whose length is its
+number of gate strings, and ``report.AnalysisReport``, which caches its
+graph outside its equality, are small slotted classes on ``_Record``
+instead.  No record is a dataclass: generating their code would cost more
+than the rest of the package's import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 def degree_notation(degree: int) -> str:
@@ -24,8 +33,13 @@ def degree_notation(degree: int) -> str:
     return f"D^{degree}"
 
 
-@dataclass(frozen=True)
-class GateString:
+class _GateFields(NamedTuple):
+    source: int
+    target: int
+    degree: int
+
+
+class GateString(_GateFields):
     """One repeated CNOT string: qubit ``source`` of every frame controls qubit
     ``target`` of the frame ``degree`` frames later.
 
@@ -34,41 +48,77 @@ class GateString:
     the two endpoints then live in different frames.
     """
 
-    source: int
-    target: int
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.source < 1 or self.target < 1:
-            raise ValueError(
-                f"qubit indices must be >= 1, got ({self.source},{self.target})"
-            )
-        if self.source == self.target and self.degree == 0:
-            raise ValueError(
-                f"CNOT({self.source},{self.target})(1) would act on a single qubit"
-            )
+    def __new__(cls, source: int, target: int, degree: int) -> "GateString":
+        if source < 1 or target < 1:
+            raise ValueError(f"qubit indices must be >= 1, got ({source},{target})")
+        if source == target and degree == 0:
+            raise ValueError(f"CNOT({source},{target})(1) would act on a single qubit")
+        return tuple.__new__(cls, (source, target, degree))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "GateString":  # _replace validates too
+        return cls(*iterable)
 
     def notation(self) -> str:
         return f"CNOT({self.source},{self.target})({degree_notation(self.degree)})"
 
 
-@dataclass(frozen=True)
-class PearlNecklace:
-    """An ordered succession of gate strings over frames of ``frame_width`` qubits."""
+class _Record:
+    """Base of the slotted records: immutable, and compared, hashed, printed
+    and pickled by the fields named in ``_fields``."""
 
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class PearlNecklace(_Record):
+    """An ordered succession of gate strings over frames of ``frame_width`` qubits.
+
+    Not a tuple: its length is the number of gate strings.
+    """
+
+    __slots__ = _fields = ("strings", "frame_width")
     strings: tuple[GateString, ...]
     frame_width: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "strings", tuple(self.strings))
-        if self.frame_width < 1:
-            raise ValueError(f"frame_width must be >= 1, got {self.frame_width}")
-        for k, g in enumerate(self.strings, start=1):
-            if g.source > self.frame_width or g.target > self.frame_width:
+    def __init__(self, strings: Iterable[GateString], frame_width: int) -> None:
+        strings = tuple(strings)
+        if frame_width < 1:
+            raise ValueError(f"frame_width must be >= 1, got {frame_width}")
+        for k, g in enumerate(strings, start=1):
+            if g.source > frame_width or g.target > frame_width:
                 raise ValueError(
                     f"gate string {k} ({g.notation()}) references a qubit beyond "
-                    f"frame_width {self.frame_width}"
+                    f"frame_width {frame_width}"
                 )
+        object.__setattr__(self, "strings", strings)
+        object.__setattr__(self, "frame_width", frame_width)
 
     @classmethod
     def from_tuples(
@@ -95,8 +145,13 @@ class ConstraintKind(Enum):
     TARGET_SOURCE = "target-source"
 
 
-@dataclass(frozen=True)
-class PairConstraint:
+class _ConstraintFields(NamedTuple):
+    earlier: int
+    later: int
+    kind: ConstraintKind
+
+
+class PairConstraint(_ConstraintFields):
     """A frame-index inequality forced by a non-commuting ordered pair.
 
     ``earlier`` and ``later`` are 1-based gate-string indices with
@@ -105,15 +160,16 @@ class PairConstraint:
     tau_earlier <= sigma_later for TARGET_SOURCE.
     """
 
-    earlier: int
-    later: int
-    kind: ConstraintKind
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.earlier < self.later:
-            raise ValueError(
-                f"need 1 <= earlier < later, got ({self.earlier},{self.later})"
-            )
+    def __new__(cls, earlier: int, later: int, kind: ConstraintKind) -> "PairConstraint":
+        if not 1 <= earlier < later:
+            raise ValueError(f"need 1 <= earlier < later, got ({earlier},{later})")
+        return tuple.__new__(cls, (earlier, later, kind))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "PairConstraint":  # _replace validates too
+        return cls(*iterable)
 
 
 def source_target(g1: GateString, g2: GateString) -> bool:

@@ -16,7 +16,6 @@ width defaults to the largest qubit index used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import GateString, PearlNecklace, degree_notation
@@ -24,8 +23,7 @@ from .model import GateString, PearlNecklace, degree_notation
 RESERVED_GATES = frozenset({"H", "P", "CPHASE"})
 
 
-@dataclass(frozen=True)
-class SourceText:
+class SourceText(NamedTuple):
     """Input text plus a display name for diagnostics."""
 
     content: str

@@ -3,13 +3,13 @@
 ``analyze`` runs the linear analysis core and never builds the commutativity
 graph: both renderings read the vertex and edge counts and the critical path
 off the :class:`LongestPath`.  The graph is built only when ``report.graph``
-is first read, for DOT output.
+is first read, for DOT output.  :class:`AnalysisReport` is a slotted class
+rather than a tuple so that this cache stays out of its equality.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .assignment import (
     FrameAssignment,
@@ -18,15 +18,19 @@ from .assignment import (
     longest_path_linear,
 )
 from .graph import START, CommutativityGraph, build_graph
-from .model import PearlNecklace
+from .model import PearlNecklace, _Record
 
 
-@dataclass(frozen=True, init=False)
-class AnalysisReport:
+class AnalysisReport(_Record):
+    """The encoder, its longest path and frame assignment, and an optional
+    verification payload.  The graph cache takes no part in equality."""
+
+    _fields = ("encoder", "search", "assignment", "verification")
+    __slots__ = (*_fields, "_graph")
     encoder: PearlNecklace
     search: LongestPath
     assignment: FrameAssignment
-    verification: dict | None = None
+    verification: dict | None
 
     def __init__(
         self,

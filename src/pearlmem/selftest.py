@@ -4,7 +4,7 @@ commutativity graph, brute force and the GF(2) simulation."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .assignment import (
     assignment_from_weights,
@@ -66,11 +66,10 @@ def check_instance(enc: PearlNecklace) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class SelftestResult:
+class SelftestResult(NamedTuple):
     seed: int
     count: int
-    failures: tuple[str, ...] = field(default=())
+    failures: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from pearlmem import START, CommutativityGraph, Edge, PearlNecklace
+from pearlmem import START, CommutativityGraph, PearlNecklace
 
 # The three bundled five-string encoders plus the commuting pair, as triples.
 POS_GATES = [(2, 3, 1), (1, 2, 1), (2, 3, 2), (1, 2, 0), (2, 1, 1)]
@@ -45,10 +45,10 @@ def encoders(
 # must agree with them edge for edge.
 
 
-def _boundary_edges(degrees: list[int], n: int) -> list[Edge]:
+def _boundary_edges(degrees: list[int], n: int) -> list[tuple[int, int, int]]:
     end = n + 1
-    edges = [Edge(START, j, 0) for j in range(1, n + 1)]
-    edges.extend(Edge(j, end, abs(degrees[j - 1])) for j in range(1, n + 1))
+    edges = [(START, j, 0) for j in range(1, n + 1)]
+    edges.extend((j, end, abs(degrees[j - 1])) for j in range(1, n + 1))
     return edges
 
 
@@ -68,9 +68,9 @@ def build_graph_pairwise(enc: PearlNecklace) -> CommutativityGraph:
             if st and ts and nonneg_i == nonneg_j:  # keep only the dominant edge
                 st, ts = nonneg_i, not nonneg_i
             if st:
-                edges.append(Edge(i, j, pi - qj))
+                edges.append((i, j, pi - qj))
             if ts:
-                edges.append(Edge(i, j, qi - pj))
+                edges.append((i, j, qi - pj))
     edges.sort()
     return CommutativityGraph(n, tuple(edges), n * (n - 1) // 2)
 
@@ -89,9 +89,9 @@ def build_graph_nonnegative(enc: PearlNecklace) -> CommutativityGraph:
             inspections += 1
             ai, bi, li = gates[i - 1]
             if ai == bj:
-                edges.append(Edge(i, j, li))
+                edges.append((i, j, li))
             elif bi == aj:
-                edges.append(Edge(i, j, -lj))
+                edges.append((i, j, -lj))
     edges.sort()
     return CommutativityGraph(n, tuple(edges), inspections)
 
@@ -110,9 +110,9 @@ def build_graph_nonpositive(enc: PearlNecklace) -> CommutativityGraph:
             inspections += 1
             ai, bi, li = gates[i - 1]
             if bi == aj:
-                edges.append(Edge(i, j, -li))
+                edges.append((i, j, -li))
             elif ai == bj:
-                edges.append(Edge(i, j, lj))
+                edges.append((i, j, lj))
     edges.sort()
     return CommutativityGraph(n, tuple(edges), inspections)
 

@@ -1,6 +1,5 @@
 """Tests for the longest-path search and the frame assignment it induces."""
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -186,7 +185,7 @@ def test_reported_path_is_a_maximizing_path(enc):
         return
     total = 0
     for u, v in zip(lp.path, lp.path[1:]):
-        weights = [e.weight for e in g.edges if (e.src, e.dst) == (u, v)]
+        weights = [w for src, dst, w in g.edges if (src, dst) == (u, v)]
         assert weights, f"path step {u}->{v} has no edge"
         total += max(weights)
     assert total == lp.end_weight
@@ -244,18 +243,15 @@ def test_corrupted_longest_path_raises_under_optimize():
     # Every check in assignment_from_weights must survive python -O, which
     # strips assert statements.
     script = f"""
-import dataclasses
 import pearlmem as pm
 enc = pm.PearlNecklace.from_tuples({POS_GATES!r})
 lp = pm.longest_path_weights(pm.build_graph(enc))
 for bad in (
-    dataclasses.replace(lp, gate_weights=(0,) * len(lp.gate_weights)),
-    dataclasses.replace(lp, end_weight=lp.end_weight + 1),
-    dataclasses.replace(
-        lp, gate_weights=tuple(w - 1 for w in lp.gate_weights), end_weight=2
-    ),
-    dataclasses.replace(lp, path=(0, 1, 3, 6)),  # gates 1 and 3 commute
-    dataclasses.replace(lp, path=(0, 5, 6)),  # real edges, but weight 1
+    lp._replace(gate_weights=(0,) * len(lp.gate_weights)),
+    lp._replace(end_weight=lp.end_weight + 1),
+    lp._replace(gate_weights=tuple(w - 1 for w in lp.gate_weights), end_weight=2),
+    lp._replace(path=(0, 1, 3, 6)),  # gates 1 and 3 commute
+    lp._replace(path=(0, 5, 6)),  # real edges, but weight 1
 ):
     try:
         pm.assignment_from_weights(enc, bad)
@@ -336,7 +332,7 @@ def graph_certifies(g, lp):
         return lp.path == (START, g.end) and lp.end_weight == 0
     total = 0
     for u, v in zip(lp.path, lp.path[1:]):
-        weights = [e.weight for e in g.edges if (e.src, e.dst) == (u, v)]
+        weights = [w for src, dst, w in g.edges if (src, dst) == (u, v)]
         if not weights:
             return False
         total += max(weights)
@@ -359,7 +355,7 @@ def test_path_certificate_agrees_with_the_graph():
             (START, *chosen, g.end),
             (START, *reversed(inner), g.end),
         ):
-            cand = dataclasses.replace(lp, path=path)
+            cand = lp._replace(path=path)
             expected = graph_certifies(g, cand)
             try:
                 assignment_from_weights(enc, cand)

@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line front-end."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -236,7 +235,7 @@ def test_selftest_reports_rejected_assignment_per_instance(monkeypatch, capsys):
 
     def corrupted(enc):
         lp = real(enc)
-        return dataclasses.replace(lp, end_weight=lp.end_weight + 1)
+        return lp._replace(end_weight=lp.end_weight + 1)
 
     monkeypatch.setattr(pearlmem.selftest, "longest_path_linear", corrupted)
     assert main(["selftest", "--seed", "1", "--count", "3"]) == 2
@@ -250,7 +249,7 @@ def test_selftest_reports_disagreement_with_the_graph(monkeypatch, capsys):
 
     def miscounted(g):
         lp = real(g)
-        return dataclasses.replace(lp, edge_count=lp.edge_count + 1)
+        return lp._replace(edge_count=lp.edge_count + 1)
 
     monkeypatch.setattr(pearlmem.selftest, "longest_path_weights", miscounted)
     assert main(["selftest", "--seed", "1", "--count", "3"]) == 2
@@ -277,16 +276,61 @@ def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
     assert captured.err == "error: out of memory\n"
 
 
-@pytest.mark.parametrize("args", [["analyze"], ["bogus"]])
+@pytest.mark.parametrize(
+    "args", [["analyze"], ["bogus"], [], ["verify", EXAMPLE1, "--frames", "abc"]]
+)
 def test_usage_errors(args, capsys):
-    with pytest.raises(SystemExit):
+    # Exit code 2 is reserved for a correctness mismatch.
+    with pytest.raises(SystemExit) as exc:
         main(args)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: pearlmem")
+    assert ": error: " in captured.err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pearlmem verify")
+
+
+def test_non_utf8_input_is_a_positioned_error(tmp_path, capsys):
+    bad = tmp_path / "bad.pne"
+    bad.write_bytes(b"qubits 2\nCNOT(1,2)(\xff)")
+    assert main(["analyze", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{bad}:2:11: byte 0xff is not UTF-8 (invalid start byte)\n"
+    )
+    # Columns count characters, and CRLF and CR end lines as in text mode.
+    bad.write_bytes("qubits 2\r\n# é\rCNOT(1,2)(D) # \u00e9".encode() + b"\xc3(")
+    assert main(["analyze", str(bad)]) == 1
+    assert f"{bad}:3:17: byte 0xc3 is not UTF-8" in capsys.readouterr().err
+
+
+def test_line_endings_read_as_in_text_mode(tmp_path, capsys):
+    crlf = tmp_path / "crlf.pne"
+    crlf.write_bytes(b"qubits 3\r\nCNOT(2,3)(D)\rCNOT(1,1)(1)\r\n")
+    assert main(["analyze", str(crlf)]) == 1
+    assert capsys.readouterr().err.startswith(f"{crlf}:3:1: ")
 
 
 def test_cli_start_up_does_not_import_numpy():
+    # Nor dataclasses and inspect, whose import and code generation would
+    # cost about as much as the rest of the package.
     src = str(Path(pearlmem.__file__).resolve().parents[1])
+    unwanted = ("numpy", "dataclasses", "inspect")
     subprocess.run(
-        [sys.executable, "-c", "import pearlmem.cli, sys; assert 'numpy' not in sys.modules"],
+        [
+            sys.executable,
+            "-c",
+            f"import pearlmem.cli, sys; loaded = set({unwanted!r}) & set(sys.modules); "
+            "assert not loaded, loaded",
+        ],
         env={**os.environ, "PYTHONPATH": src},
         timeout=60,
         check=True,

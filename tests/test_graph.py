@@ -53,8 +53,8 @@ def test_mixed_sign_gate_edges_include_parallel_pair():
 
 def test_boundary_edges():
     g = build_graph(make_encoder(POS_GATES))
-    start_edges = [e for e in g.edges if e.src == START]
-    end_edges = [e for e in g.edges if e.dst == g.end]
+    start_edges = [e for e in g.edges if e[0] == START]
+    end_edges = [e for e in g.edges if e[1] == g.end]
     assert start_edges == [(0, j, 0) for j in range(1, 6)]
     assert end_edges == [(1, 6, 1), (2, 6, 1), (3, 6, 2), (4, 6, 0), (5, 6, 1)]
 
@@ -75,7 +75,7 @@ def test_specialized_builders_reject_wrong_signs():
 @given(encoders())
 def test_graph_is_a_dag_in_construction_order(enc):
     g = build_graph(enc)
-    assert all(e.src < e.dst for e in g.edges)
+    assert all(src < dst for src, dst, _ in g.edges)
 
 
 @given(encoders())
@@ -87,7 +87,7 @@ def test_pair_inspections_are_quadratic(enc):
 @given(encoders())
 def test_gate_edges_match_constraint_pairs(enc):
     g = build_graph(enc)
-    edge_pairs = {(e.src, e.dst) for e in g.gate_edges()}
+    edge_pairs = {(src, dst) for src, dst, _ in g.gate_edges()}
     constraint_pairs = {(c.earlier, c.later) for c in constraint_set(enc)}
     assert edge_pairs == constraint_pairs
 
@@ -126,7 +126,7 @@ def test_graph_matches_the_pairwise_reference_on_seeded_encoders():
                     if (gi.degree >= 0) == (gj.degree >= 0):
                         same_sign_doubles += 1
         parallel_pairs += sum(
-            n == 2 for n in Counter((e.src, e.dst) for e in g.gate_edges()).values()
+            n == 2 for n in Counter((src, dst) for src, dst, _ in g.gate_edges()).values()
         )
     assert same_sign_doubles > 50_000, same_sign_doubles
     assert parallel_pairs > 10_000, parallel_pairs

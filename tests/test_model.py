@@ -1,15 +1,26 @@
-"""Tests for the domain model: gate strings, predicates, constraint scan."""
+"""Tests for the domain model: gate strings, predicates, constraint scan, and
+the value semantics of every public record."""
+
+import copy
 
 import pytest
 from conftest import COMMUTING_GATES, POS_GATES, encoders, gate_triples, make_encoder
 from hypothesis import given
 
 from pearlmem import (
+    AnalysisReport,
     ConstraintKind,
     GateString,
     PairConstraint,
     PearlNecklace,
+    SourceText,
+    analyze,
+    build_graph,
     constraint_set,
+    conv_encoder_gates,
+    parse,
+    pearl_matrix,
+    run_selftest,
     source_target,
     target_source,
 )
@@ -125,3 +136,64 @@ def test_from_tuples_defaults_width_to_max_index():
     assert make_encoder(COMMUTING_GATES).frame_width == 3
     assert make_encoder([]).frame_width == 1
     assert make_encoder([(1, 2, 0)], frame_width=7).frame_width == 7
+
+
+def _public_records():
+    """Two independently built, equal instances of every public record type."""
+
+    def build():
+        enc = make_encoder(POS_GATES)
+        report = analyze(enc)
+        return {
+            "GateString": GateString(2, 3, 1),
+            "PearlNecklace": enc,
+            "PairConstraint": PairConstraint(1, 2, ST),
+            "CommutativityGraph": build_graph(enc),
+            "LongestPath": report.search,
+            "FrameAssignment": report.assignment,
+            "ConvGate": conv_encoder_gates(enc, report.assignment)[0],
+            "Gf2Circuit": pearl_matrix(enc, 4),
+            "SourceText": SourceText("qubits 2", name="x.pne"),
+            "AnalysisReport": report,
+            "SelftestResult": run_selftest(seed=3, count=2),
+        }
+
+    return build(), build()
+
+
+def test_records_are_immutable_values():
+    first, second = _public_records()
+    for name, record in first.items():
+        other = second[name]
+        assert type(record).__name__ == name
+        assert record is not other
+        assert record == other and hash(record) == hash(other), name
+        assert copy.copy(record) == record, name
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            delattr(record, record._fields[0])
+        with pytest.raises(AttributeError):
+            record.not_a_field = 1
+    assert first["PearlNecklace"] != parse("qubits 3\nCNOT(2,3)(D)")
+    assert first["GateString"] != GateString(2, 3, 2)
+    assert first["GateString"] == (2, 3, 1)  # a NamedTuple equals its plain tuple
+
+    # The graph is a cache: building it, or passing one in, changes nothing.
+    report = first["AnalysisReport"]
+    enc = report.encoder
+    with_graph = AnalysisReport(
+        report.encoder, report.search, report.assignment, graph=build_graph(enc)
+    )
+    assert with_graph == report and hash(with_graph) == hash(report)
+    assert report.graph == with_graph.graph
+    assert report == with_graph
+    assert report != AnalysisReport(enc, report.search, report.assignment, {"x": 1})
+
+    # Validation also guards _replace.
+    with pytest.raises(ValueError):
+        first["GateString"]._replace(target=2, degree=0)
+    with pytest.raises(ValueError):
+        first["PairConstraint"]._replace(later=1)
+    with pytest.raises(ValueError):
+        first["Gf2Circuit"]._replace(frames=5)
