@@ -23,7 +23,6 @@ from .gf2 import (
     conv_matrix,
     default_margin,
     fitted_margin,
-    gf2_rank,
     interior_equal,
     pearl_matrix,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "degree_notation",
     "fitted_margin",
     "frame_assignment",
-    "gf2_rank",
     "interior_equal",
     "longest_path_linear",
     "longest_path_weights",

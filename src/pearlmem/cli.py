@@ -10,13 +10,19 @@ commutativity graph; every other analysis runs the linear core.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import NoReturn
 
 from .assignment import conv_encoder_gates
-from .gf2 import brute_force_min_memory, conv_matrix, fitted_margin, interior_equal, pearl_matrix
+from .gf2 import (
+    brute_force_min_memory,
+    check_window,
+    conv_matrix,
+    fitted_margin,
+    interior_equal,
+    pearl_matrix,
+)
 from .graph import build_graph, to_dot
 from .model import PearlNecklace
 from .parser import EncoderSyntaxError, ParseError, SourceText, parse
@@ -79,9 +85,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.margin is not None
         else fitted_margin(enc, memory, args.frames)
     )
-    pearl = pearl_matrix(enc, args.frames)
+    # Every refusal comes before either simulation, which can take seconds.
+    check_window(args.frames, enc.frame_width, memory, margin)
+    pearl = pearl_matrix(enc, args.frames, margin)
     conv = conv_matrix(
-        enc, conv_encoder_gates(enc, report.assignment), memory, args.frames
+        enc, conv_encoder_gates(enc, report.assignment), memory, args.frames, margin
     )
     equal = interior_equal(pearl, conv, margin)
     verification = {
@@ -136,6 +144,8 @@ def _cmd_brute_check(args: argparse.Namespace) -> int:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     result = run_selftest(seed=args.seed, count=args.count)
     if args.json:
+        import json  # only JSON output needs it; start-up stays lean
+
         payload = {
             "count": result.count,
             "failures": list(result.failures),

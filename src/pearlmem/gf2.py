@@ -11,6 +11,26 @@ reuses the graph construction, so agreement is evidence of correctness.
 A matrix is held as its rows, each a Python int used as a bitmask: bit c of
 row r is entry (r, c).  A CNOT from global qubit s to t XORs row s into row t.
 
+The pearl-necklace builder applies each gate string CNOT(a,b)(D^l) as one
+strided-slice operation over the rows of qubit a and qubit b, step n, instead
+of one row XOR per frame.  The slice form is exact:
+
+- when a != b, the source rows and the target rows are disjoint residues mod
+  n, so the order of the per-frame XORs does not matter;
+- when a == b and l < 0, frame s writes the earlier frame s + l, so every
+  source row is read before any gate of the string writes it;
+- when a == b and l > 0, frame s + l reads frame s after frame s has been
+  written: along each residue class of frames mod l the string is a prefix
+  XOR, one ``accumulate`` over a slice of step l*n.
+
+Both builders can simulate only the columns that a comparison at a given
+margin reads, starting from identity rows masked to those columns.  This is
+exact by linearity: a row XOR acts on each column separately, since
+(x ^ y) & mask == (x & mask) ^ (y & mask), so masking the start masks the
+result.  It does not rely on the encoders being shift-invariant.  Such a
+circuit keeps only the interior rows, with the interior columns shifted down
+to bit 0 (see :class:`Gf2Circuit`).
+
 Conventions: stream frames are numbered 0..F-1 in pearl-necklace order (frame
 0 first); the global index of qubit q in frame f is f*n + (q-1).  Window
 frames of the convolutional block count bottom to top, so window index w maps
@@ -19,6 +39,8 @@ to global frame p + (L - w) for block application p.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import xor
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import ConstraintKind, PearlNecklace, constraint_set
@@ -35,18 +57,25 @@ class _CircuitFields(NamedTuple):
     frames: int
     frame_width: int
     rows: tuple[int, ...]
+    margin: int = 0
 
 
 class Gf2Circuit(_CircuitFields):
-    """Linear action of a CNOT circuit on F frames of ``frame_width`` qubits;
-    bit c of ``rows[r]`` is entry (r, c) of its matrix."""
+    """Linear action of a CNOT circuit on F frames of ``frame_width`` qubits,
+    restricted to the qubits of frames margin..F-margin-1 (all of them at
+    margin 0): bit c of ``rows[r]`` is entry (lo + r, lo + c) of its matrix,
+    where lo = margin * frame_width."""
 
     __slots__ = ()
 
-    def __new__(cls, frames: int, frame_width: int, rows: tuple[int, ...]) -> "Gf2Circuit":
-        if len(rows) != frames * frame_width:
-            raise ValueError(f"{len(rows)} rows != {frames * frame_width}")
-        return tuple.__new__(cls, (frames, frame_width, rows))
+    def __new__(
+        cls, frames: int, frame_width: int, rows: tuple[int, ...], margin: int = 0
+    ) -> "Gf2Circuit":
+        _check_margin(frames, margin)
+        size = (frames - 2 * margin) * frame_width
+        if len(rows) != size:
+            raise ValueError(f"{len(rows)} rows != {size}")
+        return tuple.__new__(cls, (frames, frame_width, rows, margin))
 
     @classmethod
     def _make(cls, iterable: Iterable) -> "Gf2Circuit":  # _replace validates too
@@ -56,50 +85,82 @@ class Gf2Circuit(_CircuitFields):
     def total_qubits(self) -> int:
         return self.frames * self.frame_width
 
-    def is_invertible(self) -> bool:
-        return gf2_rank(self.rows) == self.total_qubits
 
-
-def gf2_rank(rows: Sequence[int]) -> int:
-    """Rank over GF(2) of bitmask rows, by elimination on the leading bit."""
-    pivots: dict[int, int] = {}  # leading bit -> row
-    for row in rows:
-        while row:
-            lead = row.bit_length() - 1
-            if lead not in pivots:
-                pivots[lead] = row
-                break
-            row ^= pivots[lead]
-    return len(pivots)
-
-
-def _identity_rows(frames: int, frame_width: int) -> list[int]:
+def _check_size(frames: int, frame_width: int) -> None:
+    if frames < 1:
+        raise ValueError(f"frames must be >= 1, got {frames}")
     size = frames * frame_width
     if size > MAX_QUBITS:
         raise ValueError(
             f"GF(2) simulation of {frames} frames x {frame_width} qubits = {size} "
             f"qubits exceeds the limit of {MAX_QUBITS}"
         )
-    return [1 << i for i in range(size)]
 
 
-def pearl_matrix(enc: PearlNecklace, frames: int) -> Gf2Circuit:
+def _check_margin(frames: int, margin: int) -> None:
+    if not 0 <= 2 * margin < frames:
+        raise ValueError(f"margin {margin} leaves no interior in {frames} frames")
+
+
+def check_window(frames: int, frame_width: int, memory: int, margin: int) -> None:
+    """Raise ``ValueError`` for the first problem of a window check, in this
+    order: no frames, more than :data:`MAX_QUBITS` qubits, a block window of
+    ``memory + 1`` frames that does not fit, a margin that leaves no interior.
+    Cheap, so callers can refuse before simulating anything."""
+    _check_size(frames, frame_width)
+    if frames <= memory:
+        raise ValueError(
+            f"window of {memory + 1} frames does not fit in {frames} frames"
+        )
+    _check_margin(frames, margin)
+
+
+def _interior_identity(frames: int, frame_width: int, margin: int) -> list[int]:
+    """Identity rows restricted to the columns of frames margin..F-margin-1,
+    column lo = margin * frame_width held as bit 0."""
+    lo = margin * frame_width
+    return [0] * lo + [1 << c for c in range((frames - 2 * margin) * frame_width)] + [0] * lo
+
+
+def _interior(frames: int, frame_width: int, rows: list[int], margin: int) -> Gf2Circuit:
+    lo = margin * frame_width
+    return Gf2Circuit(frames, frame_width, tuple(rows[lo : len(rows) - lo]), margin)
+
+
+def pearl_matrix(enc: PearlNecklace, frames: int, margin: int = 0) -> Gf2Circuit:
     """Truncate the pearl-necklace encoder to ``frames`` frames.
 
     Gate strings are applied in order; within a string, frames ascend.  Gates
-    whose partner frame falls outside [0, frames) are dropped.  Raises
-    ``ValueError`` when frames * frame_width exceeds :data:`MAX_QUBITS`.
+    whose partner frame falls outside [0, frames) are dropped.  Only the
+    columns :func:`interior_equal` reads at ``margin`` are simulated; margin 0
+    gives the full matrix.  Raises ``ValueError`` when frames < 1, when
+    frames * frame_width exceeds :data:`MAX_QUBITS` or when the margin leaves
+    no interior.
     """
-    if frames < 1:
-        raise ValueError(f"frames must be >= 1, got {frames}")
     n = enc.frame_width
-    rows = _identity_rows(frames, n)
-    for source, target, degree in enc.strings:  # unpacked once, not per frame
-        for s in range(frames):
-            t = s + degree
-            if 0 <= t < frames:
-                rows[t * n + target - 1] ^= rows[s * n + source - 1]
-    return Gf2Circuit(frames, n, tuple(rows))
+    _check_size(frames, n)
+    _check_margin(frames, margin)
+    rows = _interior_identity(frames, n, margin)
+    size = frames * n
+    for a, b, l in enc.strings:
+        if a == b and l > 0:
+            # Frame s+l reads frame s after frame s has been written: a
+            # prefix XOR along each residue class of frames mod l.
+            step = l * n
+            for r in range(min(l, frames)):
+                chain = slice(r * n + a - 1, size, step)
+                rows[chain] = accumulate(rows[chain], xor)
+            continue
+        # Source frames s with s + l in [0, frames); every source row is read
+        # before its string writes it (a != b, or a == b and l < 0).
+        first = max(0, -l)
+        count = frames - abs(l)
+        if count <= 0:
+            continue
+        src = slice(first * n + a - 1, (first + count) * n, n)
+        dst = slice((first + l) * n + b - 1, (first + l + count) * n, n)
+        rows[dst] = map(xor, rows[dst], rows[src])
+    return _interior(frames, n, rows, margin)
 
 
 def conv_matrix(
@@ -107,28 +168,28 @@ def conv_matrix(
     gates: Sequence[tuple[int, int, int, int]],
     memory: int,
     frames: int,
+    margin: int = 0,
 ) -> Gf2Circuit:
     """Apply the convolutional block at offsets 0..frames-memory-1.
 
     ``gates`` is the block gate list ``(source, target, sigma, tau)`` with
-    window frame indices in [0, memory].  Raises ``ValueError`` when
-    frames * frame_width exceeds :data:`MAX_QUBITS`.
+    window frame indices in [0, memory].  Only the columns
+    :func:`interior_equal` reads at ``margin`` are simulated; margin 0 gives
+    the full matrix.  Raises ``ValueError`` as :func:`check_window` does, and
+    for a gate outside the window.
     """
-    if frames <= memory:
-        raise ValueError(
-            f"window of {memory + 1} frames does not fit in {frames} frames"
-        )
     n = enc.frame_width
+    check_window(frames, n, memory, margin)
+    offsets = []  # the gate's source and target rows at block offset 0
     for a, b, sigma, tau in gates:
         if not (0 <= sigma <= memory and 0 <= tau <= memory):
             raise ValueError(f"block gate ({a},{b})({sigma},{tau}) outside window")
-    rows = _identity_rows(frames, n)
-    for p in range(frames - memory):
-        for a, b, sigma, tau in gates:
-            src_frame = p + memory - sigma
-            dst_frame = p + memory - tau
-            rows[dst_frame * n + b - 1] ^= rows[src_frame * n + a - 1]
-    return Gf2Circuit(frames, n, tuple(rows))
+        offsets.append(((memory - sigma) * n + a - 1, (memory - tau) * n + b - 1))
+    rows = _interior_identity(frames, n, margin)
+    for base in range(0, (frames - memory) * n, n):
+        for src, dst in offsets:
+            rows[base + dst] ^= rows[base + src]
+    return _interior(frames, n, rows, margin)
 
 
 def default_margin(enc: PearlNecklace, memory: int) -> int:
@@ -148,15 +209,21 @@ def fitted_margin(enc: PearlNecklace, memory: int, frames: int) -> int:
 
 def interior_equal(a: Gf2Circuit, b: Gf2Circuit, margin: int) -> bool:
     """Compare the two actions on qubits at least ``margin`` frames from
-    either truncation boundary (rows and columns restricted alike)."""
+    either truncation boundary (rows and columns restricted alike).  Both
+    circuits must be built at the same margin, at most ``margin``."""
     if (a.frames, a.frame_width) != (b.frames, b.frame_width):
         raise ValueError(
             f"dimension mismatch: {a.frames}x{a.frame_width} vs {b.frames}x{b.frame_width}"
         )
-    if margin < 0 or 2 * margin * a.frame_width >= a.total_qubits:
-        raise ValueError(f"margin {margin} leaves no interior in {a.frames} frames")
-    lo = margin * a.frame_width
-    hi = (a.frames - margin) * a.frame_width
+    _check_margin(a.frames, margin)
+    if a.margin != b.margin:
+        raise ValueError(f"circuits built at margins {a.margin} and {b.margin}")
+    if margin < a.margin:
+        raise ValueError(
+            f"circuits built at margin {a.margin} cannot be compared at margin {margin}"
+        )
+    lo = (margin - a.margin) * a.frame_width  # both rows and bits start at a.margin
+    hi = len(a.rows) - lo
     mask = (1 << hi) - (1 << lo)  # columns lo..hi-1
     return all(not (x ^ y) & mask for x, y in zip(a.rows[lo:hi], b.rows[lo:hi]))
 

@@ -9,8 +9,6 @@ rather than a tuple so that this cache stays out of its equality.
 
 from __future__ import annotations
 
-import json
-
 from .assignment import (
     FrameAssignment,
     LongestPath,
@@ -109,6 +107,8 @@ def to_json_dict(report: AnalysisReport) -> dict:
 
 def to_json(report: AnalysisReport) -> str:
     """Byte-deterministic JSON: sorted keys, fixed indent, no timestamps."""
+    import json  # only JSON output needs it; start-up stays lean
+
     return json.dumps(to_json_dict(report), sort_keys=True, indent=2) + "\n"
 
 

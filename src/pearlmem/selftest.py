@@ -59,8 +59,8 @@ def check_instance(enc: PearlNecklace) -> str | None:
 
     margin = default_margin(enc, fa.memory)
     frames = 3 * margin
-    pearl = pearl_matrix(enc, frames)
-    conv = conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames)
+    pearl = pearl_matrix(enc, frames, margin)
+    conv = conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames, margin)
     if not interior_equal(pearl, conv, margin):
         return f"GF(2) interiors differ (frames={frames}, margin={margin})"
     return None

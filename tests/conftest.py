@@ -1,11 +1,11 @@
-"""Shared fixtures, hypothesis strategies and reference graph builders for the
-test suite."""
+"""Shared fixtures, hypothesis strategies, and reference graph and GF(2)
+builders for the test suite."""
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from pearlmem import START, CommutativityGraph, PearlNecklace
+from pearlmem import START, CommutativityGraph, Gf2Circuit, PearlNecklace
 
 # The three bundled five-string encoders plus the commuting pair, as triples.
 POS_GATES = [(2, 3, 1), (1, 2, 1), (2, 3, 2), (1, 2, 0), (2, 1, 1)]
@@ -115,6 +115,61 @@ def build_graph_nonpositive(enc: PearlNecklace) -> CommutativityGraph:
                 edges.append((i, j, lj))
     edges.sort()
     return CommutativityGraph(n, tuple(edges), inspections)
+
+
+# Per-frame GF(2) references: one row XOR per gate per frame, in the gate and
+# frame order that the slice builders of pearlmem.gf2 must reproduce.  Full
+# matrices (margin 0) only; interior_block cuts out what a builder returns at
+# a margin.
+
+
+def pearl_matrix_per_frame(enc: PearlNecklace, frames: int) -> Gf2Circuit:
+    n = enc.frame_width
+    rows = [1 << i for i in range(frames * n)]
+    for source, target, degree in enc.strings:
+        for s in range(frames):
+            t = s + degree
+            if 0 <= t < frames:
+                rows[t * n + target - 1] ^= rows[s * n + source - 1]
+    return Gf2Circuit(frames, n, tuple(rows))
+
+
+def conv_matrix_per_frame(enc: PearlNecklace, gates, memory: int, frames: int) -> Gf2Circuit:
+    n = enc.frame_width
+    rows = [1 << i for i in range(frames * n)]
+    for p in range(frames - memory):
+        for a, b, sigma, tau in gates:
+            src_frame = p + memory - sigma
+            dst_frame = p + memory - tau
+            rows[dst_frame * n + b - 1] ^= rows[src_frame * n + a - 1]
+    return Gf2Circuit(frames, n, tuple(rows))
+
+
+def interior_block(full: Gf2Circuit, margin: int) -> Gf2Circuit:
+    """The rows and columns of frames margin..F-margin-1 of a full circuit,
+    as a builder returns them at that margin."""
+    lo = margin * full.frame_width
+    hi = len(full.rows) - lo
+    width = (1 << (hi - lo)) - 1
+    rows = tuple((row >> lo) & width for row in full.rows[lo:hi])
+    return Gf2Circuit(full.frames, full.frame_width, rows, margin)
+
+
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of bitmask rows, by elimination on the leading bit."""
+    pivots: dict[int, int] = {}  # leading bit -> row
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+    return len(pivots)
+
+
+def is_invertible(circuit: Gf2Circuit) -> bool:
+    return gf2_rank(circuit.rows) == circuit.total_qubits
 
 
 # Dense GF(2) reference: a circuit as a list of 0/1 rows, one CNOT as one

@@ -126,6 +126,8 @@ def test_outputs_match_golden_files(name, capsys):
         "analyze.json": ["analyze", "--json", path],
         "analyze.txt": ["analyze", path],
         "dot": ["dot", path],
+        "verify.json": ["verify", "--frames", "12", "--json", path],
+        "verify.txt": ["verify", "--frames", "12", path],
     }
     for suffix, argv in runs.items():
         assert main(argv) == 0
@@ -190,6 +192,35 @@ def test_verify_refuses_a_simulation_over_budget(tmp_path, capsys):
         "error: GF(2) simulation of 12 frames x 100000 qubits = 1200000 qubits "
         "exceeds the limit of 32768\n"
     )
+
+
+def test_verify_refuses_before_simulating(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("simulation started")
+
+    monkeypatch.setattr(pearlmem.cli, "pearl_matrix", refuse)
+    monkeypatch.setattr(pearlmem.cli, "conv_matrix", refuse)
+    # example1 has memory 3 and frame width 3.  Each refusal wins over the
+    # ones after it: no frames, the qubit budget, the window, the margin.
+    cases = [
+        (["--frames", "0", "--margin", "9"], "frames must be >= 1, got 0"),
+        (
+            ["--frames", "20000", "--margin", "20000"],
+            "GF(2) simulation of 20000 frames x 3 qubits = 60000 qubits "
+            "exceeds the limit of 32768",
+        ),
+        (["--frames", "3", "--margin", "2"], "window of 4 frames does not fit in 3 frames"),
+        (["--frames", "12", "--margin", "6"], "margin 6 leaves no interior in 12 frames"),
+        (
+            ["--frames", "12", "--margin", "-1", "--json"],
+            "margin -1 leaves no interior in 12 frames",
+        ),
+    ]
+    for options, message in cases:
+        assert main(["verify", EXAMPLE1, *options]) == 1, options
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_brute_check_refuses_an_encoder_over_budget(tmp_path, capsys):
@@ -319,11 +350,8 @@ def test_line_endings_read_as_in_text_mode(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"{crlf}:3:1: ")
 
 
-def test_cli_start_up_does_not_import_numpy():
-    # Nor dataclasses and inspect, whose import and code generation would
-    # cost about as much as the rest of the package.
+def _assert_cli_import_leaves_out(*unwanted: str) -> None:
     src = str(Path(pearlmem.__file__).resolve().parents[1])
-    unwanted = ("numpy", "dataclasses", "inspect")
     subprocess.run(
         [
             sys.executable,
@@ -335,3 +363,14 @@ def test_cli_start_up_does_not_import_numpy():
         timeout=60,
         check=True,
     )
+
+
+def test_cli_start_up_does_not_import_numpy():
+    # Nor dataclasses and inspect, whose import and code generation would
+    # cost about as much as the rest of the package.
+    _assert_cli_import_leaves_out("numpy", "dataclasses", "inspect")
+
+
+def test_cli_start_up_does_not_import_json():
+    # Only JSON output needs it, and it is the largest import after argparse.
+    _assert_cli_import_leaves_out("json")

@@ -1,6 +1,7 @@
 """Tests for the GF(2) simulation oracle and the brute-force memory search."""
 
 import random
+import tracemalloc
 
 import pytest
 from conftest import (
@@ -8,15 +9,22 @@ from conftest import (
     MIX_GATES,
     NEG_GATES,
     POS_GATES,
+    conv_matrix_per_frame,
     dense_conv_matrix,
     dense_pearl_matrix,
     dense_rank,
     dense_rows,
+    gf2_rank,
+    interior_block,
+    is_invertible,
     make_encoder,
+    pearl_matrix_per_frame,
 )
 
 import pearlmem.gf2
+from pearlmem.gf2 import check_window
 from pearlmem import (
+    Gf2Circuit,
     PearlNecklace,
     brute_force_min_memory,
     constraint_set,
@@ -25,7 +33,6 @@ from pearlmem import (
     default_margin,
     fitted_margin,
     frame_assignment,
-    gf2_rank,
     interior_equal,
     minimal_memory,
     pearl_matrix,
@@ -47,7 +54,7 @@ def test_pearl_matrix_drops_straddling_gates():
 def test_pearl_matrix_empty_encoder_is_identity():
     circuit = pearl_matrix(PearlNecklace((), 2), frames=3)
     assert circuit.rows == tuple(1 << i for i in range(6))
-    assert circuit.is_invertible()
+    assert is_invertible(circuit)
 
 
 def test_pearl_matrix_rejects_zero_frames():
@@ -151,9 +158,9 @@ def test_matrices_are_invertible():
         enc = random_encoder(rng)
         fa = frame_assignment(enc)
         frames = fa.memory + 4
-        assert pearl_matrix(enc, frames).is_invertible()
+        assert is_invertible(pearl_matrix(enc, frames))
         conv = conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames)
-        assert conv.is_invertible()
+        assert is_invertible(conv)
 
 
 def test_gf2_rank():
@@ -193,6 +200,150 @@ def test_bit_rows_match_the_dense_reference():
                 assert interior_equal(pearl, conv, margin) == expected
                 comparisons += 1
     assert comparisons > 1500
+
+
+def _chained_encoder(rng):
+    """A seeded random encoder; two times in three it also holds chains
+    CNOT(q,q)(D^l) of both signs, long enough to exceed small windows."""
+    enc = random_encoder(rng, max_strings=5, max_width=3)
+    gates = [(g.source, g.target, g.degree) for g in enc.strings]
+    if rng.random() < 2 / 3:
+        for degree in (rng.randint(1, 5), -rng.randint(1, 5)):
+            q = rng.randint(1, enc.frame_width)
+            gates.insert(rng.randint(0, len(gates)), (q, q, degree))
+    return make_encoder(gates, enc.frame_width)
+
+
+def _corrupted(rng, gates, memory):
+    """The block gates with one gate moved to other window frames, if any."""
+    gates = list(gates)
+    if gates and memory:
+        k = rng.randrange(len(gates))
+        a, b, sigma, tau = gates[k]
+        while (sigma, tau) == gates[k][2:]:
+            sigma, tau = rng.randint(0, memory), rng.randint(0, memory)
+        gates[k] = (a, b, sigma, tau)
+    return gates
+
+
+def test_builders_match_per_frame_references():
+    """At margin 0 the slice builders give the per-frame and dense matrices;
+    at every valid margin they give those matrices' interior block, and every
+    comparison the block allows agrees with the full matrices.  The seeded
+    encoders include chains of both signs, degrees beyond the window, one-frame
+    windows and corrupted block gates, so both verdicts occur."""
+    rng = random.Random(7)
+    verdicts = {True: 0, False: 0}
+    chains = long_degrees = corrupted_false = 0
+    for _ in range(120):
+        enc = _chained_encoder(rng)
+        fa = frame_assignment(enc)
+        gates = conv_encoder_gates(enc, fa)
+        corrupt = rng.random() < 0.5
+        if corrupt:
+            gates = _corrupted(rng, gates, fa.memory)
+        degrees = [g.degree for g in enc.strings]
+        chains += any(g.source == g.target for g in enc.strings)
+        windows = {1, 2, fa.memory + 1, fa.memory + 2, 3 * default_margin(enc, fa.memory)}
+        for frames in sorted(windows):
+            long_degrees += any(abs(l) >= frames for l in degrees)
+            size = frames * enc.frame_width
+            pearl = pearl_matrix_per_frame(enc, frames)
+            assert pearl_matrix(enc, frames) == pearl
+            if frames <= 40:
+                assert dense_rows(pearl.rows, size) == dense_pearl_matrix(enc, frames)
+            conv = None
+            if frames > fa.memory:
+                conv = conv_matrix_per_frame(enc, gates, fa.memory, frames)
+                assert conv_matrix(enc, gates, fa.memory, frames) == conv
+                if frames <= 40:
+                    dense = dense_conv_matrix(enc, gates, fa.memory, frames)
+                    assert dense_rows(conv.rows, size) == dense
+            for margin in range((frames + 1) // 2):
+                inner = pearl_matrix(enc, frames, margin)
+                assert inner == interior_block(pearl, margin)
+                if conv is None:
+                    continue
+                inner_conv = conv_matrix(enc, gates, fa.memory, frames, margin)
+                assert inner_conv == interior_block(conv, margin)
+                for wider in range(margin, (frames + 1) // 2):
+                    verdict = interior_equal(inner, inner_conv, wider)
+                    assert verdict == interior_equal(pearl, conv, wider)
+                verdict = interior_equal(inner, inner_conv, margin)
+                verdicts[verdict] += 1
+                corrupted_false += corrupt and not verdict
+    assert chains > 50 and long_degrees > 50 and corrupted_false > 50
+    assert verdicts[True] > 200 and verdicts[False] > 200
+
+
+def test_interior_equal_rejects_mismatched_margins():
+    enc = make_encoder(POS_GATES)
+    fa = frame_assignment(enc)
+    gates = conv_encoder_gates(enc, fa)
+    full = conv_matrix(enc, gates, fa.memory, 12)
+    pearl, conv = pearl_matrix(enc, 12, 2), conv_matrix(enc, gates, fa.memory, 12, 2)
+    assert len(pearl.rows) == (12 - 4) * 3
+    with pytest.raises(ValueError, match="built at margins 2 and 0"):
+        interior_equal(pearl, full, 2)
+    with pytest.raises(ValueError, match="built at margin 2 cannot be compared at margin 1"):
+        interior_equal(pearl, conv, 1)
+    with pytest.raises(ValueError, match="margin 6 leaves no interior in 12 frames"):
+        interior_equal(pearl, conv, 6)
+    for margin in range(2, 6):
+        assert interior_equal(pearl, conv, margin) == interior_equal(
+            pearl_matrix(enc, 12), full, margin
+        )
+    with pytest.raises(ValueError, match="margin 6 leaves no interior in 12 frames"):
+        pearl_matrix(enc, 12, 6)
+    with pytest.raises(ValueError, match="margin -1 leaves no interior"):
+        conv_matrix(enc, gates, fa.memory, 12, -1)
+    assert Gf2Circuit(4, 2, (1, 2, 4, 8), 1).margin == 1
+    with pytest.raises(ValueError, match="8 rows != 4"):
+        Gf2Circuit(4, 2, (0,) * 8, 1)
+    with pytest.raises(ValueError, match="margin 2 leaves no interior in 4 frames"):
+        Gf2Circuit(4, 2, (), 2)
+
+
+def test_check_window_refuses_in_order():
+    check_window(12, 3, 3, 5)
+    with pytest.raises(ValueError, match="frames must be >= 1, got 0"):
+        check_window(0, 100000, 20, -1)
+    with pytest.raises(ValueError, match="1200000 qubits exceeds the limit"):
+        check_window(12, 100000, 20, -1)
+    with pytest.raises(ValueError, match="window of 13 frames does not fit in 12 frames"):
+        check_window(12, 3, 12, -1)
+    with pytest.raises(ValueError, match="margin 6 leaves no interior in 12 frames"):
+        check_window(12, 3, 3, 6)
+
+
+def _gf2_peak_bytes(enc, gates, memory, frames, build_margin, margin):
+    tracemalloc.start()
+    try:
+        pearl = pearl_matrix(enc, frames, build_margin)
+        conv = conv_matrix(enc, gates, memory, frames, build_margin)
+        assert interior_equal(pearl, conv, margin)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_interior_columns_halve_the_peak_memory():
+    """The benchmark's widest verify (N = 1000, width 64, 174 frames) holds
+    under half the bytes when built at the margin it is compared at."""
+    rng = random.Random(1000)
+    gates = []
+    while len(gates) < 1000:
+        a, b, l = rng.randint(1, 64), rng.randint(1, 64), rng.randint(-3, 3)
+        if not (a == b and l == 0):
+            gates.append((a, b, l))
+    enc = make_encoder(gates, 64)
+    fa = frame_assignment(enc)
+    block = conv_encoder_gates(enc, fa)
+    margin = fitted_margin(enc, fa.memory, 174)
+    assert margin == default_margin(enc, fa.memory)  # the full margin fits
+    full = _gf2_peak_bytes(enc, block, fa.memory, 174, 0, margin)
+    interior = _gf2_peak_bytes(enc, block, fa.memory, 174, margin, margin)
+    assert interior < full / 2, (interior, full)
 
 
 def test_simulation_size_is_budgeted(monkeypatch):
