@@ -32,16 +32,7 @@ from .graph import (
     build_graph,
     to_dot,
 )
-from .model import (
-    ConstraintKind,
-    GateString,
-    PairConstraint,
-    PearlNecklace,
-    constraint_set,
-    degree_notation,
-    source_target,
-    target_source,
-)
+from .model import GateString, PearlNecklace, degree_notation
 from .parser import (
     EncoderSemanticError,
     EncoderSyntaxError,
@@ -58,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "CommutativityGraph",
-    "ConstraintKind",
     "ConvGate",
     "EncoderSemanticError",
     "EncoderSyntaxError",
@@ -66,7 +56,6 @@ __all__ = [
     "GateString",
     "Gf2Circuit",
     "LongestPath",
-    "PairConstraint",
     "ParseError",
     "PearlNecklace",
     "START",
@@ -77,7 +66,6 @@ __all__ = [
     "brute_force_min_memory",
     "build_graph",
     "check_instance",
-    "constraint_set",
     "conv_encoder_gates",
     "conv_matrix",
     "corpus_files",
@@ -96,8 +84,6 @@ __all__ = [
     "render",
     "run_selftest",
     "satisfies_constraints",
-    "source_target",
-    "target_source",
     "to_dot",
     "to_json",
     "to_json_dict",

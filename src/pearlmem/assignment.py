@@ -64,7 +64,6 @@ def longest_path_weights(g: CommutativityGraph) -> LongestPath:
                 best, pred = candidate, src
         weights[v] = best if best is not None else 0
         best_pred[v] = pred
-    assert relaxations == len(g.edges)
 
     verts = [end]
     cur = end

@@ -43,7 +43,7 @@ from itertools import accumulate
 from operator import xor
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import ConstraintKind, PearlNecklace, constraint_set
+from .model import PearlNecklace, constraint_set
 
 # Largest frames * frame_width simulated: a matrix holds up to that many bits
 # squared, 128 MiB at the limit.  The benchmark's widest window is 174 x 64.
@@ -248,9 +248,13 @@ def brute_force_min_memory(enc: PearlNecklace, bound: int) -> int | None:
             f"{MAX_BRUTE_STRINGS}"
         )
     degrees = [g.degree for g in enc.strings]
-    by_later: list[list[tuple[int, ConstraintKind]]] = [[] for _ in range(n)]
-    for c in constraint_set(enc):
-        by_later[c.later - 1].append((c.earlier - 1, c.kind))
+    # Per gate k, the earlier strings i with sigma_i <= tau_k (source-target)
+    # and those with tau_i <= sigma_k (target-source).
+    st_earlier: list[list[int]] = [[] for _ in range(n)]
+    ts_earlier: list[list[int]] = [[] for _ in range(n)]
+    for earlier, later, kind in constraint_set(enc):
+        lists = st_earlier if kind == "source-target" else ts_earlier
+        lists[later - 1].append(earlier - 1)
 
     sigmas = [0] * n
     taus = [0] * n
@@ -264,6 +268,7 @@ def brute_force_min_memory(enc: PearlNecklace, bound: int) -> int | None:
             best = cur_max
             return
         l = degrees[k]
+        st, ts = st_earlier[k], ts_earlier[k]
         for w in range(bound + 1):
             if l >= 0:
                 tau, sigma = w, w + l
@@ -272,18 +277,16 @@ def brute_force_min_memory(enc: PearlNecklace, bound: int) -> int | None:
             new_max = max(cur_max, sigma, tau)
             if best is not None and new_max >= best:
                 break  # sigma and tau grow with w, so all larger w prune too
-            ok = True
-            for i, kind in by_later[k]:
-                if kind is ConstraintKind.SOURCE_TARGET:
-                    if sigmas[i] > tau:
-                        ok = False
-                        break
-                elif taus[i] > sigma:
-                    ok = False
+            for i in st:
+                if sigmas[i] > tau:
                     break
-            if ok:
-                sigmas[k], taus[k] = sigma, tau
-                extend(k + 1, new_max)
+            else:
+                for i in ts:
+                    if taus[i] > sigma:
+                        break
+                else:
+                    sigmas[k], taus[k] = sigma, tau
+                    extend(k + 1, new_max)
 
     extend(0, 0)
     return best

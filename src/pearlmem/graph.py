@@ -23,7 +23,8 @@ edge is drawn: source-target when both are >= 0, target-source when both are
 Building the graph takes O(N + E) time for E edges.  The gate strings are
 bucketed by source qubit, by target qubit and by (source, target, sign class),
 so the later strings that collide with string i are read straight off the
-buckets of its qubits instead of being found among all N(N-1)/2 pairs.  The
+buckets of its qubits instead of being found among all N(N-1)/2 pairs; the
+graph's ``pair_inspections`` is that N(N-1)/2, derived from N.  The
 analysis does not need the graph: because the weights separate,
 ``assignment.longest_path_linear`` reads the same longest path off running
 maxima per qubit.  The graph is built for DOT output and as the oracle that
@@ -47,7 +48,6 @@ class CommutativityGraph(NamedTuple):
 
     gate_count: int
     edges: tuple[tuple[int, int, int], ...]
-    pair_inspections: int
 
     @property
     def end(self) -> int:
@@ -57,10 +57,11 @@ class CommutativityGraph(NamedTuple):
     def vertex_count(self) -> int:
         return self.gate_count + 2
 
-    def gate_edges(self) -> tuple[tuple[int, int, int], ...]:
-        """Edges between gate vertices only (START/END edges stripped)."""
-        end = self.end
-        return tuple(e for e in self.edges if e[0] != START and e[1] != end)
+    @property
+    def pair_inspections(self) -> int:
+        """N(N-1)/2, the number of pairs i < j whose collisions the graph
+        decides; derived from ``gate_count``, since no loop runs over them."""
+        return self.gate_count * (self.gate_count - 1) // 2
 
 
 def _later(buckets: dict, key: object, i: int) -> list[int]:
@@ -70,11 +71,7 @@ def _later(buckets: dict, key: object, i: int) -> list[int]:
 
 
 def build_graph(enc: PearlNecklace) -> CommutativityGraph:
-    """Build the commutativity graph in O(N + E) time.
-
-    ``pair_inspections`` is N(N-1)/2, the number of pairs i < j whose
-    collisions the graph decides; no loop runs over those pairs.
-    """
+    """Build the commutativity graph in O(N + E) time."""
     n = len(enc.strings)
     p = [0] * (n + 1)
     q = [0] * (n + 1)
@@ -107,7 +104,7 @@ def build_graph(enc: PearlNecklace) -> CommutativityGraph:
         out.sort()  # merges two ascending runs
         edges.extend(out)
         edges.append((i, end, abs(g.degree)))
-    return CommutativityGraph(n, tuple(edges), n * (n - 1) // 2)
+    return CommutativityGraph(n, tuple(edges))
 
 
 def to_dot(g: CommutativityGraph, enc: PearlNecklace) -> str:

@@ -10,18 +10,17 @@ turns into scheduling constraints.
 The package's records are immutable values.  Most are ``typing.NamedTuple``
 classes, so they unpack, compare equal to plain tuples of the same fields and
 copy with ``_replace``; those that validate their fields (``GateString``,
-``PairConstraint``, ``gf2.Gf2Circuit``) do so in ``__new__``, which
-``_replace`` also goes through.  ``PearlNecklace``, whose length is its
-number of gate strings, and ``report.AnalysisReport``, which caches its
-graph outside its equality, are small slotted classes on ``_Record``
-instead.  No record is a dataclass: generating their code would cost more
-than the rest of the package's import.
+``gf2.Gf2Circuit``) do so in ``__new__``, which ``_replace`` also goes
+through.  ``PearlNecklace``, whose length is its number of gate strings,
+and ``report.AnalysisReport``, which caches its graph outside its
+equality, are small slotted classes on ``_Record`` instead.  No record is a
+dataclass: generating their code would cost more than the rest of the
+package's import.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 
 def degree_notation(degree: int) -> str:
@@ -140,61 +139,22 @@ class PearlNecklace(_Record):
         return len(self.strings)
 
 
-class ConstraintKind(Enum):
-    SOURCE_TARGET = "source-target"
-    TARGET_SOURCE = "target-source"
+def constraint_set(enc: PearlNecklace) -> list[tuple[int, int, str]]:
+    """All inequality constraints a correct convolutional realization must obey,
+    as ``(earlier, later, kind)`` tuples of 1-based gate-string indices.
 
-
-class _ConstraintFields(NamedTuple):
-    earlier: int
-    later: int
-    kind: ConstraintKind
-
-
-class PairConstraint(_ConstraintFields):
-    """A frame-index inequality forced by a non-commuting ordered pair.
-
-    ``earlier`` and ``later`` are 1-based gate-string indices with
-    ``earlier < later``.  In convolutional-encoder frame numbering the
-    constraint reads sigma_earlier <= tau_later for SOURCE_TARGET and
-    tau_earlier <= sigma_later for TARGET_SOURCE.
+    ``kind`` is ``"source-target"`` when the earlier string's source is the
+    later one's target (sigma_earlier <= tau_later) and ``"target-source"``
+    when its target is the later one's source (tau_earlier <= sigma_later).
+    Scans every ordered pair ``i < j`` once; a pair may give both kinds.
+    Pairs with no constraint commute as GF(2) circuits.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, earlier: int, later: int, kind: ConstraintKind) -> "PairConstraint":
-        if not 1 <= earlier < later:
-            raise ValueError(f"need 1 <= earlier < later, got ({earlier},{later})")
-        return tuple.__new__(cls, (earlier, later, kind))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "PairConstraint":  # _replace validates too
-        return cls(*iterable)
-
-
-def source_target(g1: GateString, g2: GateString) -> bool:
-    """True when the first string's source collides with the second's target."""
-    return g1.source == g2.target
-
-
-def target_source(g1: GateString, g2: GateString) -> bool:
-    """True when the first string's target collides with the second's source."""
-    return g1.target == g2.source
-
-
-def constraint_set(enc: PearlNecklace) -> list[PairConstraint]:
-    """All inequality constraints a correct convolutional realization must obey.
-
-    Scans every ordered pair ``i < j`` once; a pair may contribute both a
-    SOURCE_TARGET and a TARGET_SOURCE constraint.  Pairs with no constraint
-    commute as GF(2) circuits.
-    """
-    strings: Sequence[GateString] = enc.strings
-    out: list[PairConstraint] = []
-    for i in range(len(strings)):
-        for j in range(i + 1, len(strings)):
-            if source_target(strings[i], strings[j]):
-                out.append(PairConstraint(i + 1, j + 1, ConstraintKind.SOURCE_TARGET))
-            if target_source(strings[i], strings[j]):
-                out.append(PairConstraint(i + 1, j + 1, ConstraintKind.TARGET_SOURCE))
+    strings = enc.strings
+    out: list[tuple[int, int, str]] = []
+    for i, gi in enumerate(strings, start=1):
+        for j, gj in enumerate(strings[i:], start=i + 1):
+            if gi.source == gj.target:
+                out.append((i, j, "source-target"))
+            if gi.target == gj.source:
+                out.append((i, j, "target-source"))
     return out

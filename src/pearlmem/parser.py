@@ -226,12 +226,10 @@ class _Parser:
         )
 
 
-def parse(src: str | SourceText, name: str = "<input>") -> PearlNecklace:
-    """Parse encoder source text; raises :class:`ParseError` with position info."""
-    if isinstance(src, SourceText):
-        text, name = src.content, src.name
-    else:
-        text = src
+def parse(src: str | SourceText) -> PearlNecklace:
+    """Parse encoder source text; raises :class:`ParseError` with position
+    info.  Diagnostics name the input by ``SourceText.name``."""
+    text, name = src if isinstance(src, SourceText) else SourceText(src)
     return _Parser(_tokenize(text, name), name).parse_file()
 
 

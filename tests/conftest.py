@@ -40,6 +40,12 @@ def encoders(
     return PearlNecklace.from_tuples(gates, frame_width=width)
 
 
+def gate_edges(g: CommutativityGraph) -> tuple[tuple[int, int, int], ...]:
+    """Edges between gate vertices only (START/END edges stripped)."""
+    end = g.end
+    return tuple(e for e in g.edges if e[0] != START and e[1] != end)
+
+
 # Reference builders: the pair loop that inspects each pair i < j once, and
 # one builder per sign class with its own sign case written out.  build_graph
 # must agree with them edge for edge.
@@ -72,7 +78,7 @@ def build_graph_pairwise(enc: PearlNecklace) -> CommutativityGraph:
             if ts:
                 edges.append((i, j, qi - pj))
     edges.sort()
-    return CommutativityGraph(n, tuple(edges), n * (n - 1) // 2)
+    return CommutativityGraph(n, tuple(edges))
 
 
 def build_graph_nonnegative(enc: PearlNecklace) -> CommutativityGraph:
@@ -82,18 +88,16 @@ def build_graph_nonnegative(enc: PearlNecklace) -> CommutativityGraph:
         raise ValueError("nonnegative builder requires all degrees >= 0")
     n = len(gates)
     edges = _boundary_edges([l for _, _, l in gates], n)
-    inspections = 0
     for j in range(2, n + 1):
         aj, bj, lj = gates[j - 1]
         for i in range(1, j):
-            inspections += 1
             ai, bi, li = gates[i - 1]
             if ai == bj:
                 edges.append((i, j, li))
             elif bi == aj:
                 edges.append((i, j, -lj))
     edges.sort()
-    return CommutativityGraph(n, tuple(edges), inspections)
+    return CommutativityGraph(n, tuple(edges))
 
 
 def build_graph_nonpositive(enc: PearlNecklace) -> CommutativityGraph:
@@ -103,18 +107,16 @@ def build_graph_nonpositive(enc: PearlNecklace) -> CommutativityGraph:
         raise ValueError("nonpositive builder requires all degrees <= 0")
     n = len(gates)
     edges = _boundary_edges([l for _, _, l in gates], n)
-    inspections = 0
     for j in range(2, n + 1):
         aj, bj, lj = gates[j - 1]
         for i in range(1, j):
-            inspections += 1
             ai, bi, li = gates[i - 1]
             if bi == aj:
                 edges.append((i, j, -li))
             elif ai == bj:
                 edges.append((i, j, lj))
     edges.sort()
-    return CommutativityGraph(n, tuple(edges), inspections)
+    return CommutativityGraph(n, tuple(edges))
 
 
 # Per-frame GF(2) references: one row XOR per gate per frame, in the gate and

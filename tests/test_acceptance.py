@@ -15,6 +15,7 @@ from conftest import (
 )
 
 from pearlmem import (
+    SourceText,
     analyze,
     brute_force_min_memory,
     build_graph,
@@ -156,7 +157,7 @@ def test_ac8_round_trip_and_byte_determinism():
     files = corpus_files()
     assert len(files) == 4
     for path in files:
-        enc = parse(path.read_text(encoding="utf-8"), name=path.name)
+        enc = parse(SourceText(path.read_text(encoding="utf-8"), name=path.name))
         assert parse(render(enc)) == enc, path.name
         report = analyze(enc)
         assert to_json(report) == to_json(analyze(enc)), path.name

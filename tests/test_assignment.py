@@ -23,11 +23,9 @@ from pearlmem import (
     START,
     AnalysisReport,
     analyze,
-    ConstraintKind,
     FrameAssignment,
     PearlNecklace,
     build_graph,
-    constraint_set,
     conv_encoder_gates,
     assignment_from_weights,
     frame_assignment,
@@ -39,6 +37,7 @@ from pearlmem import (
     render,
     satisfies_constraints,
 )
+from pearlmem.model import constraint_set
 
 
 def enumerate_longest(graph):
@@ -193,9 +192,9 @@ def test_reported_path_is_a_maximizing_path(enc):
 
 def pairwise_satisfies(enc, fa):
     """Reference: every constraint of constraint_set, checked one at a time."""
-    for c in constraint_set(enc):
-        i, j = c.earlier - 1, c.later - 1
-        if c.kind is ConstraintKind.SOURCE_TARGET:
+    for earlier, later, kind in constraint_set(enc):
+        i, j = earlier - 1, later - 1
+        if kind == "source-target":
             if fa.sigma[i] > fa.tau[j]:
                 return False
         elif fa.tau[i] > fa.sigma[j]:

@@ -23,11 +23,11 @@ from conftest import (
 
 import pearlmem.gf2
 from pearlmem.gf2 import check_window
+from pearlmem.model import constraint_set
 from pearlmem import (
     Gf2Circuit,
     PearlNecklace,
     brute_force_min_memory,
-    constraint_set,
     conv_encoder_gates,
     conv_matrix,
     default_margin,
@@ -384,6 +384,16 @@ def test_brute_force_size_is_budgeted(monkeypatch):
     assert brute_force_min_memory(make_encoder(POS_GATES), bound=4) == 3
     with pytest.raises(ValueError, match="6 gate strings exceeds the limit of 5"):
         brute_force_min_memory(make_encoder(POS_GATES + [(1, 2, 0)]), bound=4)
+
+
+def test_brute_force_refuses_before_the_pair_scan(monkeypatch):
+    def scan(enc):
+        raise AssertionError("constraint_set ran on an encoder over budget")
+
+    monkeypatch.setattr(pearlmem.gf2, "constraint_set", scan)
+    chain = make_encoder([(1, 2, 1)] * 19)
+    with pytest.raises(ValueError, match="19 gate strings exceeds the limit of 18"):
+        brute_force_min_memory(chain, bound=0)
 
 
 def test_brute_force_matches_graph_on_random_instances():

@@ -12,6 +12,7 @@ from conftest import (
     build_graph_nonpositive,
     build_graph_pairwise,
     encoders,
+    gate_edges,
     make_encoder,
 )
 from hypothesis import given
@@ -20,15 +21,15 @@ from pearlmem import (
     START,
     PearlNecklace,
     build_graph,
-    constraint_set,
     random_encoder,
     to_dot,
 )
+from pearlmem.model import constraint_set
 
 
 def test_unidirectional_gate_edges():
     g = build_graph(make_encoder(POS_GATES))
-    assert g.gate_edges() == (
+    assert gate_edges(g) == (
         (1, 2, 1),
         (1, 4, 1),
         (2, 3, -2),
@@ -40,7 +41,7 @@ def test_unidirectional_gate_edges():
 
 def test_mixed_sign_gate_edges_include_parallel_pair():
     g = build_graph(make_encoder(MIX_GATES))
-    assert g.gate_edges() == (
+    assert gate_edges(g) == (
         (1, 2, 0),
         (1, 4, 1),
         (2, 3, 1),
@@ -87,8 +88,8 @@ def test_pair_inspections_are_quadratic(enc):
 @given(encoders())
 def test_gate_edges_match_constraint_pairs(enc):
     g = build_graph(enc)
-    edge_pairs = {(src, dst) for src, dst, _ in g.gate_edges()}
-    constraint_pairs = {(c.earlier, c.later) for c in constraint_set(enc)}
+    edge_pairs = {(src, dst) for src, dst, _ in gate_edges(g)}
+    constraint_pairs = {(i, j) for i, j, _ in constraint_set(enc)}
     assert edge_pairs == constraint_pairs
 
 
@@ -126,7 +127,7 @@ def test_graph_matches_the_pairwise_reference_on_seeded_encoders():
                     if (gi.degree >= 0) == (gj.degree >= 0):
                         same_sign_doubles += 1
         parallel_pairs += sum(
-            n == 2 for n in Counter((src, dst) for src, dst, _ in g.gate_edges()).values()
+            n == 2 for n in Counter((src, dst) for src, dst, _ in gate_edges(g)).values()
         )
     assert same_sign_doubles > 50_000, same_sign_doubles
     assert parallel_pairs > 10_000, parallel_pairs
@@ -154,7 +155,7 @@ def test_edge_count_bound():
     for e in (make_encoder(POS_GATES), make_encoder([]), enc):
         g = build_graph(e)
         n = len(e.strings)
-        assert len(g.gate_edges()) <= n * (n - 1)
+        assert len(gate_edges(g)) <= n * (n - 1)
         assert len(g.edges) <= n * (n - 1) + 2 * n
 
 

@@ -1,5 +1,5 @@
-"""Tests for the domain model: gate strings, predicates, constraint scan, and
-the value semantics of every public record."""
+"""Tests for the domain model: gate strings, the constraint scan, and the
+value semantics of every public record."""
 
 import copy
 
@@ -9,24 +9,26 @@ from hypothesis import given
 
 from pearlmem import (
     AnalysisReport,
-    ConstraintKind,
     GateString,
-    PairConstraint,
     PearlNecklace,
     SourceText,
     analyze,
     build_graph,
-    constraint_set,
     conv_encoder_gates,
     parse,
     pearl_matrix,
     run_selftest,
-    source_target,
-    target_source,
 )
+from pearlmem.model import constraint_set
 
-ST = ConstraintKind.SOURCE_TARGET
-TS = ConstraintKind.TARGET_SOURCE
+ST = "source-target"
+TS = "target-source"
+
+
+def pair_kinds(g1, g2):
+    """The constraint kinds of the two-string encoder (g1, g2)."""
+    enc = PearlNecklace.from_tuples([g1, g2])
+    return {kind for _, _, kind in constraint_set(enc)}
 
 
 @pytest.mark.parametrize(
@@ -38,7 +40,7 @@ TS = ConstraintKind.TARGET_SOURCE
     ],
 )
 def test_source_target(g1, g2, expected):
-    assert source_target(GateString(*g1), GateString(*g2)) is expected
+    assert (ST in pair_kinds(g1, g2)) is expected
 
 
 @pytest.mark.parametrize(
@@ -50,27 +52,26 @@ def test_source_target(g1, g2, expected):
     ],
 )
 def test_target_source(g1, g2, expected):
-    assert target_source(GateString(*g1), GateString(*g2)) is expected
+    assert (TS in pair_kinds(g1, g2)) is expected
 
 
 @given(gate_triples(), gate_triples(), gate_triples(), gate_triples())
 def test_predicates_depend_only_on_colliding_indices(t1, t2, u1, u2):
-    """source_target reads only (g1.source, g2.target); target_source only
-    (g1.target, g2.source).  Swapping every other field changes nothing."""
-    g1, g2 = GateString(*t1), GateString(*t2)
+    """A source-target constraint depends only on (g1.source, g2.target), a
+    target-source one only on (g1.target, g2.source).  Swapping every other
+    field changes nothing."""
     # Patch the irrelevant fields with values from u1/u2, keeping validity.
-    st_left = GateString(t1[0], u1[1], u1[2]) if t1[0] != u1[1] or u1[2] != 0 else g1
-    st_right = GateString(u2[0], t2[1], u2[2]) if u2[0] != t2[1] or u2[2] != 0 else g2
-    assert source_target(g1, g2) == source_target(st_left, st_right)
-    ts_left = GateString(u1[0], t1[1], u1[2]) if u1[0] != t1[1] or u1[2] != 0 else g1
-    ts_right = GateString(t2[0], u2[1], u2[2]) if t2[0] != u2[1] or u2[2] != 0 else g2
-    assert target_source(g1, g2) == target_source(ts_left, ts_right)
+    st_left = (t1[0], u1[1], u1[2]) if t1[0] != u1[1] or u1[2] != 0 else t1
+    st_right = (u2[0], t2[1], u2[2]) if u2[0] != t2[1] or u2[2] != 0 else t2
+    assert (ST in pair_kinds(t1, t2)) == (ST in pair_kinds(st_left, st_right))
+    ts_left = (u1[0], t1[1], u1[2]) if u1[0] != t1[1] or u1[2] != 0 else t1
+    ts_right = (t2[0], u2[1], u2[2]) if t2[0] != u2[1] or u2[2] != 0 else t2
+    assert (TS in pair_kinds(t1, t2)) == (TS in pair_kinds(ts_left, ts_right))
 
 
 def test_constraint_set_five_string_encoder():
     enc = make_encoder(POS_GATES)
-    got = [(c.earlier, c.later, c.kind) for c in constraint_set(enc)]
-    assert got == [
+    assert constraint_set(enc) == [
         (1, 2, ST),
         (1, 4, ST),
         (2, 3, TS),
@@ -95,12 +96,19 @@ def test_constraint_set_fields_and_bound(enc):
     cons = constraint_set(enc)
     n = len(enc.strings)
     assert len(cons) <= n * (n - 1)
-    for c in cons:
-        gi, gj = enc.strings[c.earlier - 1], enc.strings[c.later - 1]
-        if c.kind is ST:
+    for earlier, later, kind in cons:
+        assert 1 <= earlier < later <= n
+        gi, gj = enc.strings[earlier - 1], enc.strings[later - 1]
+        if kind == ST:
             assert gi.source == gj.target
         else:
+            assert kind == TS
             assert gi.target == gj.source
+    # Conversely, every colliding pair i < j appears, once per kind.
+    for i, gi in enumerate(enc.strings, start=1):
+        for j, gj in enumerate(enc.strings[i:], start=i + 1):
+            assert cons.count((i, j, ST)) == (gi.source == gj.target)
+            assert cons.count((i, j, TS)) == (gi.target == gj.source)
 
 
 def test_gate_string_rejects_bad_indices():
@@ -125,13 +133,6 @@ def test_pearl_necklace_rejects_out_of_range_qubits():
         PearlNecklace((), 0)
 
 
-def test_pair_constraint_requires_ordered_indices():
-    with pytest.raises(ValueError):
-        PairConstraint(3, 3, ST)
-    with pytest.raises(ValueError):
-        PairConstraint(0, 2, TS)
-
-
 def test_from_tuples_defaults_width_to_max_index():
     assert make_encoder(COMMUTING_GATES).frame_width == 3
     assert make_encoder([]).frame_width == 1
@@ -147,7 +148,6 @@ def _public_records():
         return {
             "GateString": GateString(2, 3, 1),
             "PearlNecklace": enc,
-            "PairConstraint": PairConstraint(1, 2, ST),
             "CommutativityGraph": build_graph(enc),
             "LongestPath": report.search,
             "FrameAssignment": report.assignment,
@@ -193,7 +193,5 @@ def test_records_are_immutable_values():
     # Validation also guards _replace.
     with pytest.raises(ValueError):
         first["GateString"]._replace(target=2, degree=0)
-    with pytest.raises(ValueError):
-        first["PairConstraint"]._replace(later=1)
     with pytest.raises(ValueError):
         first["Gf2Circuit"]._replace(frames=5)

@@ -54,7 +54,7 @@ def test_parse_preserves_textual_order():
 
 def test_single_qubit_cnot_is_semantic_error():
     with pytest.raises(EncoderSemanticError) as exc:
-        parse("CNOT(1,1)(1)", name="bad.pne")
+        parse(SourceText("CNOT(1,1)(1)", name="bad.pne"))
     assert "bad.pne:1:1" in str(exc.value)
 
 
@@ -102,7 +102,7 @@ def test_malformed_delay_is_syntax_error(text, column):
 @pytest.mark.parametrize("exponent", ["-0", "-00"])
 def test_signed_zero_exponent_is_syntax_error(exponent):
     with pytest.raises(EncoderSyntaxError) as exc:
-        parse(f"qubits 2\nCNOT(1,2)(D^{exponent})", name="zero.pne")
+        parse(SourceText(f"qubits 2\nCNOT(1,2)(D^{exponent})", name="zero.pne"))
     assert str(exc.value) == (
         f"zero.pne:2:13: exponent '{exponent}' is a signed zero; write 'D^0' or '1'"
     )
