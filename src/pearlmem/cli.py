@@ -41,11 +41,8 @@ def _load_encoder(path: str) -> PearlNecklace:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         before = _universal_newlines(data[: err.start].decode("utf-8"))
-        line = before.count("\n") + 1
-        column = len(before) - before.rfind("\n")
-        raise EncoderSyntaxError(
-            path, line, column, f"byte 0x{data[err.start]:02x} is not UTF-8 ({err.reason})"
-        ) from None
+        message = f"byte 0x{data[err.start]:02x} is not UTF-8 ({err.reason})"
+        raise EncoderSyntaxError.at(path, before, len(before), message) from None
     return parse(SourceText(_universal_newlines(text), name=path))
 
 

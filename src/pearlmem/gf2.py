@@ -81,10 +81,6 @@ class Gf2Circuit(_CircuitFields):
     def _make(cls, iterable: Iterable) -> "Gf2Circuit":  # _replace validates too
         return cls(*iterable)
 
-    @property
-    def total_qubits(self) -> int:
-        return self.frames * self.frame_width
-
 
 def _check_size(frames: int, frame_width: int) -> None:
     if frames < 1:

@@ -54,10 +54,6 @@ class CommutativityGraph(NamedTuple):
         return self.gate_count + 1
 
     @property
-    def vertex_count(self) -> int:
-        return self.gate_count + 2
-
-    @property
     def pair_inspections(self) -> int:
         """N(N-1)/2, the number of pairs i < j whose collisions the graph
         decides; derived from ``gate_count``, since no loop runs over them."""

@@ -12,10 +12,15 @@ comment; files are UTF-8)::
 integer k (``D^0`` is accepted as a synonym for ``1``; a signed zero such as
 ``D^-0`` is a syntax error).  When the ``qubits`` header is omitted the frame
 width defaults to the largest qubit index used.
+
+Diagnostics are positioned ``name:line:column``.  Only ``"\n"`` ends a line,
+columns count characters from 1, and end of input sits one past the last
+character.  The CLI maps CRLF and CR to ``"\n"`` before parsing.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .model import GateString, PearlNecklace, degree_notation
@@ -40,6 +45,12 @@ class ParseError(ValueError):
         self.message = message
         super().__init__(f"{name}:{line}:{column}: {message}")
 
+    @classmethod
+    def at(cls, name: str, text: str, offset: int, message: str) -> ParseError:
+        """The error at character ``offset`` of ``text``."""
+        line_start = text.rfind("\n", 0, offset) + 1
+        return cls(name, text.count("\n", 0, offset) + 1, offset - line_start + 1, message)
+
 
 class EncoderSyntaxError(ParseError):
     pass
@@ -49,103 +60,75 @@ class EncoderSemanticError(ParseError):
     pass
 
 
-class _Token(NamedTuple):
-    kind: str  # NAME | INT | LPAREN | RPAREN | COMMA | CARET | EOF
-    text: str
-    line: int
-    column: int
+# Whitespace and comments, then one token: an INT (ASCII digits only; \d would
+# take any script's digits), a NAME, punctuation, any other character (an
+# error), or end of input (no group), so it matches at every offset and
+# finditer yields the tokens back to back.  [^\W\d] also starts a NAME at a
+# non-decimal numeral such as '\u00b2'; _tokenize rejects those.
+_TOKEN = re.compile(
+    r"(?:\s+|#[^\n]*)*(?:(?P<INT>-?[0-9]+)|(?P<NAME>[^\W\d]\w*)|(?P<PUNCT>[(),^])|(?P<BAD>.)|\Z)"
+)
+_Tok = tuple[str, str, int]  # (kind, text, offset); punctuation's kind is itself
 
 
-_PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", "^": "CARET"}
-# ASCII only: str.isdigit() also accepts other scripts' digits and superscripts.
-_DIGITS = frozenset("0123456789")
-
-
-def _tokenize(text: str, name: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c in _PUNCT:
-            tokens.append(_Token(_PUNCT[c], c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise EncoderSyntaxError(name, line, start_col, f"unexpected character {c!r}")
-    tokens.append(_Token("EOF", "", line, col))
+def _tokenize(text: str, name: str) -> list[_Tok]:
+    """The tokens of ``text``, ending with an ``EOF`` token one past its end."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            break
+        tok = m[kind]
+        offset = m.start(kind)
+        if kind == "BAD" or (kind == "NAME" and not (tok[0].isalpha() or tok[0] == "_")):
+            raise EncoderSyntaxError.at(name, text, offset, f"unexpected character {tok[0]!r}")
+        tokens.append((tok if kind == "PUNCT" else kind, tok, offset))
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
+def _found(tok: _Tok) -> str:
+    return "end of input" if tok[0] == "EOF" else repr(tok[1])
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], name: str):
+    def __init__(self, tokens: list[_Tok], text: str, name: str):
         self.tokens = tokens
+        self.text = text
         self.name = name
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> _Tok:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> _Tok:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def syntax_error(self, tok: _Token, message: str) -> EncoderSyntaxError:
-        return EncoderSyntaxError(self.name, tok.line, tok.column, message)
+    def syntax_error(self, tok: _Tok, message: str) -> ParseError:
+        return EncoderSyntaxError.at(self.name, self.text, tok[2], message)
 
-    def semantic_error(self, tok: _Token, message: str) -> EncoderSemanticError:
-        return EncoderSemanticError(self.name, tok.line, tok.column, message)
+    def semantic_error(self, tok: _Tok, message: str) -> ParseError:
+        return EncoderSemanticError.at(self.name, self.text, tok[2], message)
 
-    def int_value(self, tok: _Token) -> int:
+    def int_value(self, tok: _Tok) -> int:
         try:
-            return int(tok.text)
+            return int(tok[1])
         except ValueError:  # longer than the interpreter's int conversion limit
             raise self.semantic_error(
-                tok, f"integer literal of {len(tok.text)} characters is too long"
+                tok, f"integer literal of {len(tok[1])} characters is too long"
             ) from None
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, what: str) -> _Tok:
         tok = self.advance()
-        if tok.kind != kind:
-            found = repr(tok.text) if tok.kind != "EOF" else "end of input"
-            raise self.syntax_error(tok, f"expected {what} but found {found}")
+        if tok[0] != kind:
+            raise self.syntax_error(tok, f"expected {what} but found {_found(tok)}")
         return tok
 
     def parse_file(self) -> PearlNecklace:
         declared_width: int | None = None
-        if self.peek().kind == "NAME" and self.peek().text == "qubits":
+        if self.peek()[:2] == ("NAME", "qubits"):
             self.advance()
             tok = self.expect("INT", "frame width after 'qubits'")
             declared_width = self.int_value(tok)
@@ -153,7 +136,7 @@ class _Parser:
                 raise self.semantic_error(tok, "frame width must be at least 1")
 
         strings: list[GateString] = []
-        while self.peek().kind != "EOF":
+        while self.peek()[0] != "EOF":
             strings.append(self.parse_gate(declared_width))
 
         width = declared_width
@@ -163,26 +146,26 @@ class _Parser:
 
     def parse_gate(self, declared_width: int | None) -> GateString:
         tok = self.advance()
-        if tok.kind != "NAME":
-            found = repr(tok.text) if tok.kind != "EOF" else "end of input"
-            raise self.syntax_error(tok, f"expected 'CNOT' but found {found}")
-        if tok.text in RESERVED_GATES:
+        kind, gate, _ = tok
+        if kind != "NAME":
+            raise self.syntax_error(tok, f"expected 'CNOT' but found {_found(tok)}")
+        if gate in RESERVED_GATES:
             raise self.syntax_error(
                 tok,
-                f"gate {tok.text!r} is not supported; only CNOT gate strings are "
+                f"gate {gate!r} is not supported; only CNOT gate strings are "
                 "accepted (non-CSS gate strings are a planned extension)",
             )
-        if tok.text != "CNOT":
-            raise self.syntax_error(tok, f"expected 'CNOT' but found {tok.text!r}")
+        if gate != "CNOT":
+            raise self.syntax_error(tok, f"expected 'CNOT' but found {gate!r}")
 
-        self.expect("LPAREN", "'('")
+        self.expect("(", "'('")
         source = self.parse_qubit_index(declared_width, "source")
-        self.expect("COMMA", "','")
+        self.expect(",", "','")
         target = self.parse_qubit_index(declared_width, "target")
-        self.expect("RPAREN", "')'")
-        self.expect("LPAREN", "'('")
+        self.expect(")", "')'")
+        self.expect("(", "'('")
         degree = self.parse_delay()
-        self.expect("RPAREN", "')'")
+        self.expect(")", "')'")
 
         if source == target and degree == 0:
             raise self.semantic_error(
@@ -203,26 +186,26 @@ class _Parser:
 
     def parse_delay(self) -> int:
         tok = self.advance()
-        if tok.kind == "INT":
-            if tok.text != "1":
+        kind, text, _ = tok
+        if kind == "INT":
+            if text != "1":
                 raise self.syntax_error(
-                    tok, f"expected '1', 'D' or 'D^<int>' in delay, found {tok.text!r}"
+                    tok, f"expected '1', 'D' or 'D^<int>' in delay, found {text!r}"
                 )
             return 0
-        if tok.kind == "NAME" and tok.text == "D":
-            if self.peek().kind == "CARET":
+        if (kind, text) == ("NAME", "D"):
+            if self.peek()[0] == "^":
                 self.advance()
                 exp = self.expect("INT", "integer exponent after 'D^'")
                 value = self.int_value(exp)
-                if value == 0 and exp.text.startswith("-"):
+                if value == 0 and exp[1].startswith("-"):
                     raise self.syntax_error(
-                        exp, f"exponent {exp.text!r} is a signed zero; write 'D^0' or '1'"
+                        exp, f"exponent {exp[1]!r} is a signed zero; write 'D^0' or '1'"
                     )
                 return value
             return 1
-        found = repr(tok.text) if tok.kind != "EOF" else "end of input"
         raise self.syntax_error(
-            tok, f"expected '1', 'D' or 'D^<int>' in delay, found {found}"
+            tok, f"expected '1', 'D' or 'D^<int>' in delay, found {_found(tok)}"
         )
 
 
@@ -230,7 +213,7 @@ def parse(src: str | SourceText) -> PearlNecklace:
     """Parse encoder source text; raises :class:`ParseError` with position
     info.  Diagnostics name the input by ``SourceText.name``."""
     text, name = src if isinstance(src, SourceText) else SourceText(src)
-    return _Parser(_tokenize(text, name), name).parse_file()
+    return _Parser(_tokenize(text, name), text, name).parse_file()
 
 
 def render(enc: PearlNecklace) -> str:

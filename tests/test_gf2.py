@@ -354,8 +354,10 @@ def test_simulation_size_is_budgeted(monkeypatch):
         conv_matrix(wide, [], 0, 12)
     monkeypatch.setattr(pearlmem.gf2, "MAX_QUBITS", 12)
     enc = make_encoder([(1, 2, 0)], frame_width=2)
-    assert pearl_matrix(enc, 6).total_qubits == 12
-    assert conv_matrix(enc, [(1, 2, 0, 0)], 0, 6).total_qubits == 12
+    pearl = pearl_matrix(enc, 6)
+    conv = conv_matrix(enc, [(1, 2, 0, 0)], 0, 6)
+    assert pearl.frames * pearl.frame_width == 12
+    assert conv.frames * conv.frame_width == 12
     with pytest.raises(ValueError, match="limit of 12"):
         pearl_matrix(enc, 7)
     with pytest.raises(ValueError, match="limit of 12"):

@@ -1,7 +1,7 @@
 """Tests for the encoder text format: grammar, diagnostics, round-trip."""
 
 import pytest
-from conftest import encoders, make_encoder
+from conftest import encoders, make_encoder, parse_reference
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -137,6 +137,24 @@ def test_truncated_gate_reports_end_of_input():
     assert "end of input" in exc.value.message
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("CNOT(1,2", (1, 9)),
+        ("qubits   ", (1, 10)),
+        ("qubits # c", (1, 11)),
+        ("qubits 2\nCNOT(1,2)(D # c", (2, 16)),
+        ("qubits 2\nCNOT(1,2)(D # c\n", (3, 1)),
+        ("CNOT(1,2)(D^ \t", (1, 15)),
+    ],
+)
+def test_end_of_input_is_one_past_the_last_character(text, position):
+    with pytest.raises(EncoderSyntaxError) as exc:
+        parse(text)
+    assert "end of input" in exc.value.message
+    assert (exc.value.line, exc.value.column) == position
+
+
 def test_unknown_gate_name():
     with pytest.raises(EncoderSyntaxError) as exc:
         parse("XNOT(1,2)(1)")
@@ -190,8 +208,9 @@ STATEMENTS = [
 ]
 GRAMMAR_TOKENS = [
     "qubits", "CNOT", "(", ")", ",", "^", "D", "D^", "1", "2", "3", "0", "-",
-    "-1", "-0", "007", "9" * 4301, " ", "\n", "\t", "\r\n", "#", "# c\n",
-    "H", "P", "CPHASE", "x", "_", "\u0663", "\u00b2",
+    "-1", "-0", "007", "9" * 4301, " ", "\n", "\t", "\r\n", "#", "# c", "# c\n",
+    "H", "P", "CPHASE", "x", "_", "\u0663", "\u00b2", "\u00bd", "\u216b", "\u00e9",
+    "\x1c",
 ]
 
 
@@ -206,13 +225,22 @@ GRAMMAR_TOKENS = [
     ).map("".join)
 )
 def test_grammar_fuzz(text):
-    """Any text parses, or fails with a position inside it (one past the end
-    of a line for end of input); what parses renders to a fixed point."""
+    """Any text parses, or fails with a position inside it (one past the last
+    character for end of input); what parses renders to a fixed point.  The
+    reference parser gives an equal encoder or the same error."""
+    try:
+        expected = parse_reference(text)
+    except ParseError as err:
+        expected = err
     try:
         enc = parse(text)
     except ParseError as err:
+        assert type(err) is type(expected) and str(err) == str(expected)
         lines = text.split("\n")
         assert 1 <= err.line <= len(lines)
         assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+        if "end of input" in err.message:
+            assert (err.line, err.column) == (len(lines), len(lines[-1]) + 1)
         return
+    assert enc == expected
     assert parse(render(enc)) == enc
