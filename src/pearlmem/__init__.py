@@ -5,7 +5,6 @@ without building the DAG.  The DAG itself is built for DOT output and as an
 oracle, next to a GF(2) simulation and a brute-force search."""
 
 from .assignment import (
-    ConvGate,
     FrameAssignment,
     LongestPath,
     assignment_from_weights,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "CommutativityGraph",
-    "ConvGate",
     "EncoderSemanticError",
     "EncoderSyntaxError",
     "FrameAssignment",

@@ -11,8 +11,9 @@ Two searches give the same :class:`LongestPath`.  ``longest_path_linear`` is
 the analysis core: because every edge weight of the graph separates into a
 term for its source gate and a term for its destination gate, it needs only
 a running maximum per qubit index and runs in O(N + width) without building
-the graph.  ``longest_path_weights`` relaxes every edge of a built
-:class:`CommutativityGraph`; it is quadratic and serves as the oracle.
+the graph.  ``longest_path_weights`` relaxes the edges of a built
+:class:`CommutativityGraph` in one forward sweep over them, sorted by source;
+the graph is quadratic, and the sweep serves as the oracle.
 ``assignment_from_weights`` checks every result in linear time: a feasible
 assignment bounds the memory from above, and a critical path of real edges
 whose weights sum to the memory bounds it from below.
@@ -39,44 +40,35 @@ class LongestPath(NamedTuple):
 
 
 def longest_path_weights(g: CommutativityGraph) -> LongestPath:
-    """Single forward pass in vertex order, relaxing incoming edges.
+    """One sweep over the edges in their order.  Every edge goes forward and
+    they are sorted by source, so ``weights[src]`` is final when one leaves it.
 
-    Ties in the maximum are broken toward the lowest predecessor ordinal, so
-    the reconstructed path is deterministic.  Every edge is relaxed exactly
-    once; the count is returned for structural checks.
+    A gate starts where its weight-0 START edge puts it: weight 0, after
+    START.  END starts at -1 so that its first edge wins, and is clamped to 0
+    when there are no gates.  Only a larger weight replaces a predecessor, so
+    ties go to the lowest predecessor ordinal and the path is deterministic.
+    Every edge is relaxed exactly once; the count is returned for structural
+    checks.
     """
-    n = g.gate_count
     end = g.end
-    incoming: list[list[tuple[int, int]]] = [[] for _ in range(n + 2)]
-    for src, dst, weight in g.edges:  # sorted, so (src, weight) ascend per dst
-        incoming[dst].append((src, weight))
-
-    weights = [0] * (n + 2)
-    best_pred: list[int | None] = [None] * (n + 2)
+    weights = [0] * (end + 1)
+    weights[end] = -1
+    pred = [START] * (end + 1)
     relaxations = 0
-    for v in range(1, n + 2):
-        best: int | None = None
-        pred: int | None = None
-        for src, weight in incoming[v]:
-            relaxations += 1
-            candidate = weights[src] + weight
-            if best is None or candidate > best:
-                best, pred = candidate, src
-        weights[v] = best if best is not None else 0
-        best_pred[v] = pred
+    for src, dst, weight in g.edges:
+        relaxations += 1
+        candidate = weights[src] + weight
+        if candidate > weights[dst]:
+            weights[dst], pred[dst] = candidate, src
 
     verts = [end]
-    cur = end
-    while best_pred[cur] is not None:
-        cur = best_pred[cur]
-        verts.append(cur)
-    if verts[-1] != START:  # empty encoder: END has no incoming edge
-        verts.append(START)
+    while verts[-1] != START:
+        verts.append(pred[verts[-1]])
     verts.reverse()
 
     return LongestPath(
-        gate_weights=tuple(weights[1 : n + 1]),
-        end_weight=weights[end],
+        gate_weights=tuple(weights[1:end]),
+        end_weight=max(weights[end], 0),
         path=tuple(verts),
         relaxations=relaxations,
         edge_count=len(g.edges),
@@ -172,15 +164,6 @@ class FrameAssignment(NamedTuple):
     tau: tuple[int, ...]
     memory: int
     memory_qubits: int
-
-
-class ConvGate(NamedTuple):
-    """One CNOT of the repeated convolutional block: (a, b)(sigma, tau)."""
-
-    source: int
-    target: int
-    sigma: int
-    tau: int
 
 
 def assignment_from_weights(enc: PearlNecklace, lp: LongestPath) -> FrameAssignment:
@@ -286,11 +269,12 @@ def satisfies_constraints(enc: PearlNecklace, fa: FrameAssignment) -> bool:
     return True
 
 
-def conv_encoder_gates(enc: PearlNecklace, fa: FrameAssignment) -> tuple[ConvGate, ...]:
-    """The gate list of one repeated block, in original gate-string order."""
+def conv_encoder_gates(
+    enc: PearlNecklace, fa: FrameAssignment
+) -> tuple[tuple[int, int, int, int], ...]:
+    """The block gates ``(source, target, sigma, tau)``, in gate-string order."""
     if len(fa.sigma) != len(enc.strings):
         raise ValueError("assignment was not produced from this encoder")
     return tuple(
-        ConvGate(g.source, g.target, s, t)
-        for g, s, t in zip(enc.strings, fa.sigma, fa.tau)
+        (g.source, g.target, s, t) for g, s, t in zip(enc.strings, fa.sigma, fa.tau)
     )

@@ -17,18 +17,18 @@ w_k.  Each collision between gates i < j then gives one edge i -> j:
 
 When a pair has both collisions and l_i, l_j lie in the same sign class (both
 >= 0 or both < 0), one constraint implies the other and only the dominant
-edge is drawn: source-target when both are >= 0, target-source when both are
-< 0.  Mixed-sign pairs with both collisions get two parallel edges.
+edge is drawn: for l_i >= 0 the target-source edge to each such j is dropped,
+and for l_i < 0 the source-target edge.  Mixed-sign pairs with both
+collisions get two parallel edges.
 
 Building the graph takes O(N + E) time for E edges.  The gate strings are
-bucketed by source qubit, by target qubit and by (source, target, sign class),
-so the later strings that collide with string i are read straight off the
-buckets of its qubits instead of being found among all N(N-1)/2 pairs; the
-graph's ``pair_inspections`` is that N(N-1)/2, derived from N.  The
-analysis does not need the graph: because the weights separate,
-``assignment.longest_path_linear`` reads the same longest path off running
-maxima per qubit.  The graph is built for DOT output and as the oracle that
-the linear search is checked against.
+bucketed by source qubit and by target qubit, so the later strings that
+collide with string i are read straight off the buckets of its qubits instead
+of being found among all N(N-1)/2 pairs; the graph's ``pair_inspections`` is
+that N(N-1)/2, derived from N.  The analysis does not need the graph:
+because the weights separate, ``assignment.longest_path_linear`` reads the
+same longest path off running maxima per qubit.  The graph is built for DOT
+output and as the oracle that the linear search is checked against.
 """
 
 from __future__ import annotations
@@ -68,38 +68,33 @@ def _later(buckets: dict, key: object, i: int) -> list[int]:
 
 def build_graph(enc: PearlNecklace) -> CommutativityGraph:
     """Build the commutativity graph in O(N + E) time."""
-    n = len(enc.strings)
+    strings = enc.strings
+    n = len(strings)
     p = [0] * (n + 1)
     q = [0] * (n + 1)
     by_source: defaultdict[int, list[int]] = defaultdict(list)
     by_target: defaultdict[int, list[int]] = defaultdict(list)
-    by_pair: defaultdict[tuple[int, int, bool], list[int]] = defaultdict(list)
-    for k, g in enumerate(enc.strings, start=1):
-        p[k], q[k] = max(g.degree, 0), max(-g.degree, 0)
-        by_source[g.source].append(k)
-        by_target[g.target].append(k)
-        by_pair[g.source, g.target, g.degree >= 0].append(k)
+    for k, (a, b, l) in enumerate(strings, start=1):
+        p[k], q[k] = max(l, 0), max(-l, 0)
+        by_source[a].append(k)
+        by_target[b].append(k)
 
     end = n + 1
     edges = [(START, j, 0) for j in range(1, n + 1)]
-    for i, g in enumerate(enc.strings, start=1):
-        st = _later(by_target, g.source, i)  # a_i == b_j
-        ts = _later(by_source, g.target, i)  # b_i == a_j
-        # Same sign class and both collisions: keep only the dominant edge.
-        nonneg = g.degree >= 0
-        doubles = _later(by_pair, (g.target, g.source, nonneg), i)
-        if doubles:
-            dropped = set(doubles)
-            if nonneg:
-                ts = [j for j in ts if j not in dropped]
-            else:
-                st = [j for j in st if j not in dropped]
+    for i, (a, b, l) in enumerate(strings, start=1):
+        st = _later(by_target, a, i)  # a_i == b_j
+        ts = _later(by_source, b, i)  # b_i == a_j
+        # Same-sign doubles keep only the dominant edge (q_j > 0 iff l_j < 0).
+        if l >= 0:  # drop j with b_j == a_i and l_j >= 0
+            ts = [j for j in ts if strings[j - 1].target != a or q[j]]
+        else:  # drop j with a_j == b_i and l_j < 0
+            st = [j for j in st if strings[j - 1].source != b or not q[j]]
         pi, qi = p[i], q[i]
         out = [(i, j, pi - q[j]) for j in st]
         out.extend([(i, j, qi - p[j]) for j in ts])
         out.sort()  # merges two ascending runs
         edges.extend(out)
-        edges.append((i, end, abs(g.degree)))
+        edges.append((i, end, abs(l)))
     return CommutativityGraph(n, tuple(edges))
 
 

@@ -21,7 +21,8 @@ from .model import PearlNecklace, _Record
 
 class AnalysisReport(_Record):
     """The encoder, its longest path and frame assignment, and an optional
-    verification payload.  The graph cache takes no part in equality."""
+    verification payload, which only the JSON rendering writes.  The graph
+    cache takes no part in equality."""
 
     _fields = ("encoder", "search", "assignment", "verification")
     __slots__ = (*_fields, "_graph")
@@ -134,8 +135,4 @@ def to_text(report: AnalysisReport) -> str:
     lines.append(
         f"graph: {len(enc.strings) + 2} vertices, {report.search.edge_count} edges"
     )
-    if report.verification is not None:
-        lines.append("verification:")
-        for key in sorted(report.verification):
-            lines.append(f"  {key}: {report.verification[key]}")
     return "\n".join(lines) + "\n"

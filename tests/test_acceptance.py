@@ -5,6 +5,7 @@ see the lines as they pass; any failure shows up as a normal pytest failure.
 
 import random
 import time
+import tracemalloc
 
 from conftest import (
     MIX_GATES,
@@ -127,9 +128,10 @@ def test_ac6_mixed_builder_specializes_to_unidirectional_builders():
     print("AC-6 PASS instances=200+200 mismatches=0")
 
 
-def test_ac7_quadratic_construction_and_linear_search():
+def _ac7_encoders():
+    """AC-7's seeded width-4 encoders, by N."""
     rng = random.Random(271828)
-    timings = {}
+    encoders = {}
     for n in (10, 100, 1000):
         gates = []
         for _ in range(n):
@@ -139,7 +141,13 @@ def test_ac7_quadratic_construction_and_linear_search():
                 if not (a == b and l == 0):
                     break
             gates.append((a, b, l))
-        enc = make_encoder(gates, frame_width=4)
+        encoders[n] = make_encoder(gates, frame_width=4)
+    return encoders
+
+
+def test_ac7_quadratic_construction_and_linear_search():
+    timings = {}
+    for n, enc in _ac7_encoders().items():
         start = time.perf_counter()
         g = build_graph(enc)
         lp = longest_path_weights(g)
@@ -151,6 +159,20 @@ def test_ac7_quadratic_construction_and_linear_search():
         "AC-7 PASS inspections=N(N-1)/2 relaxations=edges "
         f"t(1000)={timings[1000] * 1e3:.0f}ms"
     )
+
+
+def test_graph_search_memory_does_not_follow_the_edges():
+    """The search over AC-7's N = 1000 graph keeps a weight and a predecessor
+    per vertex and nothing per edge."""
+    g = build_graph(_ac7_encoders()[1000])
+    tracemalloc.start()
+    try:
+        lp = longest_path_weights(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lp.relaxations == len(g.edges) > 200_000
+    assert peak < 1_000_000
 
 
 def test_ac8_round_trip_and_byte_determinism():

@@ -14,7 +14,6 @@ from pearlmem import (
     SourceText,
     analyze,
     build_graph,
-    conv_encoder_gates,
     parse,
     pearl_matrix,
     run_selftest,
@@ -151,7 +150,6 @@ def _public_records():
             "CommutativityGraph": build_graph(enc),
             "LongestPath": report.search,
             "FrameAssignment": report.assignment,
-            "ConvGate": conv_encoder_gates(enc, report.assignment)[0],
             "Gf2Circuit": pearl_matrix(enc, 4),
             "SourceText": SourceText("qubits 2", name="x.pne"),
             "AnalysisReport": report,

@@ -14,7 +14,6 @@ SRC = Path(pearlmem.__file__).parent
 PUBLIC_NAMES = [
     "AnalysisReport",
     "CommutativityGraph",
-    "ConvGate",
     "EncoderSemanticError",
     "EncoderSyntaxError",
     "FrameAssignment",
