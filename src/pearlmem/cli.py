@@ -3,8 +3,11 @@
 Subcommands: analyze | dot | verify | brute-check | selftest.  Exit status is
 0 on success, 1 on parse or semantic errors (a file that is not UTF-8
 included), usage errors, other input problems or running out of memory, and
-2 only when verify, brute-check or selftest detects a correctness mismatch.  Only ``dot`` and ``analyze --dot`` build the
-commutativity graph; every other analysis runs the linear core.
+2 only when verify, brute-check or selftest detects a correctness mismatch.
+Every analysis runs the linear core.  ``dot`` and ``analyze --dot`` take the
+edge count from it, refuse a graph over ``graph.MAX_DOT_EDGES`` before
+writing anything, and stream the DOT text string by string without building
+the graph.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .assignment import conv_encoder_gates
+from .assignment import conv_encoder_gates, longest_path_linear
 from .gf2 import (
     brute_force_min_memory,
     check_window,
@@ -23,7 +26,7 @@ from .gf2 import (
     interior_equal,
     pearl_matrix,
 )
-from .graph import build_graph, to_dot
+from .graph import check_dot_edges, write_dot
 from .model import PearlNecklace
 from .parser import EncoderSyntaxError, ParseError, SourceText, parse
 from .report import AnalysisReport, analyze, to_json, to_text
@@ -58,18 +61,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     enc = _load_encoder(args.file)
     report = analyze(enc)
     if args.dot:
-        Path(args.dot).write_text(to_dot(build_graph(enc), enc), encoding="utf-8")
+        check_dot_edges(report.search.edge_count)
+        with open(args.dot, "w", encoding="utf-8") as out:
+            write_dot(enc, out)
     _emit_report(report, args.json)
     return 0
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     enc = _load_encoder(args.file)
-    text = to_dot(build_graph(enc), enc)
+    check_dot_edges(longest_path_linear(enc).edge_count)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as out:
+            write_dot(enc, out)
     else:
-        sys.stdout.write(text)
+        write_dot(enc, sys.stdout)
     return 0
 
 

@@ -3,8 +3,9 @@
 ``analyze`` runs the linear analysis core and never builds the commutativity
 graph: both renderings read the vertex and edge counts and the critical path
 off the :class:`LongestPath`.  The graph is built only when ``report.graph``
-is first read, for DOT output.  :class:`AnalysisReport` is a slotted class
-rather than a tuple so that this cache stays out of its equality.
+is first read; DOT output streams without it.  :class:`AnalysisReport` is a
+slotted class rather than a tuple so that this cache stays out of its
+equality.
 """
 
 from __future__ import annotations

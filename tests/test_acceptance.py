@@ -32,6 +32,7 @@ from pearlmem import (
     to_json,
 )
 from pearlmem.cli import main
+from pearlmem.graph import write_dot
 
 POS_TEXT = "CNOT(2,3)(D) CNOT(1,2)(D) CNOT(2,3)(D^2) CNOT(1,2)(1) CNOT(2,1)(D)"
 
@@ -173,6 +174,24 @@ def test_graph_search_memory_does_not_follow_the_edges():
         tracemalloc.stop()
     assert lp.relaxations == len(g.edges) > 200_000
     assert peak < 1_000_000
+
+
+class _Discard:
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def test_dot_memory_does_not_follow_the_edges():
+    """The DOT writer streams AC-7's N = 1000 graph string by string; building
+    and rendering it whole peaked at 48.9 MB."""
+    enc = _ac7_encoders()[1000]
+    tracemalloc.start()
+    try:
+        write_dot(enc, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
 
 
 def test_ac8_round_trip_and_byte_determinism():

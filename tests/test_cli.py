@@ -135,23 +135,51 @@ def test_outputs_match_golden_files(name, capsys):
         assert out.encode() == (GOLDEN / f"{name}.{suffix}").read_bytes(), suffix
 
 
-def test_analysis_subcommands_never_build_the_graph(monkeypatch, capsys):
+def test_analysis_subcommands_never_build_the_graph(monkeypatch, tmp_path, capsys):
+    # DOT output streams from the collision enumerator, so no subcommand
+    # holds the graph's edge list.
     def refuse(enc):
         raise AssertionError("build_graph called")
 
-    monkeypatch.setattr(pearlmem.cli, "build_graph", refuse)
     monkeypatch.setattr(pearlmem.graph, "build_graph", refuse)
     monkeypatch.setattr(pearlmem.report, "build_graph", refuse)
     enc = pearlmem.parse(Path(EXAMPLE1).read_text())
     assert pearlmem.analyze(enc).assignment.memory == 3
+    target = str(tmp_path / "graph.dot")
     for argv in (
         ["analyze", EXAMPLE1],
         ["analyze", "--json", EXAMPLE3],
+        ["analyze", EXAMPLE1, "--dot", target],
+        ["dot", EXAMPLE1],
+        ["dot", EXAMPLE3, "-o", target],
         ["verify", EXAMPLE3, "--frames", "12"],
         ["brute-check", EXAMPLE1],
     ):
         assert main(argv) == 0, argv
-    with pytest.raises(AssertionError, match="build_graph called"):
+
+
+def test_dot_refuses_a_graph_over_budget(monkeypatch, tmp_path, capsys):
+    # Mirrors test_verify_refuses_before_simulating: example1 has 16 edges,
+    # and the refusal comes before any byte of the report or the graph.
+    def refuse(*args):
+        raise AssertionError("DOT writer started")
+
+    monkeypatch.setattr(pearlmem.cli, "write_dot", refuse)
+    monkeypatch.setattr(pearlmem.graph, "MAX_DOT_EDGES", 15)
+    target = tmp_path / "graph.dot"
+    for argv in (
+        ["dot", EXAMPLE1],
+        ["dot", EXAMPLE1, "-o", str(target)],
+        ["analyze", EXAMPLE1, "--dot", str(target)],
+        ["analyze", "--json", EXAMPLE1, "--dot", str(target)],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: DOT graph of 16 edges exceeds the limit of 15\n"
+        assert not target.exists()
+    monkeypatch.setattr(pearlmem.graph, "MAX_DOT_EDGES", 16)
+    with pytest.raises(AssertionError, match="DOT writer started"):
         main(["dot", EXAMPLE1])
 
 

@@ -1,5 +1,6 @@
 """Tests for commutativity-graph construction and DOT export."""
 
+import io
 import random
 import time
 from collections import Counter
@@ -21,10 +22,19 @@ from pearlmem import (
     START,
     PearlNecklace,
     build_graph,
+    corpus_files,
+    parse,
     random_encoder,
     to_dot,
 )
+from pearlmem.graph import write_dot
 from pearlmem.model import constraint_set
+
+
+def streamed_dot(enc: PearlNecklace) -> str:
+    out = io.StringIO()
+    write_dot(enc, out)
+    return out.getvalue()
 
 
 def test_unidirectional_gate_edges():
@@ -119,7 +129,7 @@ def test_graph_matches_the_pairwise_reference_on_seeded_encoders():
         )
         g, ref = build_graph(enc), build_graph_pairwise(enc)
         assert g == ref
-        assert to_dot(g, enc) == to_dot(ref, enc)
+        assert to_dot(g, enc) == streamed_dot(enc) == to_dot(ref, enc)
         gates = enc.strings
         for i, gi in enumerate(gates):
             for gj in gates[i + 1 :]:
@@ -131,6 +141,47 @@ def test_graph_matches_the_pairwise_reference_on_seeded_encoders():
         )
     assert same_sign_doubles > 50_000, same_sign_doubles
     assert parallel_pairs > 10_000, parallel_pairs
+
+
+def _seeded_gates(rng, n, width, span):
+    gates = []
+    while len(gates) < n:
+        a, b, l = rng.randint(1, width), rng.randint(1, width), rng.randint(-span, span)
+        if not (a == b and l == 0):
+            gates.append((a, b, l))
+    return gates
+
+
+def test_streamed_dot_matches_the_pairwise_reference_at_scale():
+    encoders = [parse(path.read_text(encoding="utf-8")) for path in corpus_files()]
+    rng = random.Random(4104)
+    encoders += [
+        make_encoder(_seeded_gates(rng, n, width, 3), frame_width=width)
+        for n in (300, 1000)
+        for width in (4, 64)
+    ]
+    for enc in encoders:
+        assert streamed_dot(enc) == to_dot(build_graph_pairwise(enc), enc)
+
+
+def test_streamed_dot_matches_the_pairwise_reference_on_edge_cases():
+    rng = random.Random(9)
+    encoders = [
+        make_encoder(_seeded_gates(rng, rng.randint(0, 30), rng.randint(1, 5), 9))
+        for _ in range(300)
+    ]
+    # Chains CNOT(a,a)(D^l): every pair collides both ways.
+    encoders += [
+        make_encoder([(1, 1, rng.choice([-9, -2, -1, 1, 2, 9])) for _ in range(12)])
+        for _ in range(20)
+    ]
+    # A reversed mixed-sign pair with l_i = |l_j| draws two parallel edges of
+    # weight 0, whose keys are equal; neither may be merged away.
+    pair = make_encoder([(1, 2, 3), (2, 3, 1), (2, 1, -3)])
+    encoders.append(pair)
+    for enc in encoders:
+        assert streamed_dot(enc) == to_dot(build_graph_pairwise(enc), enc)
+    assert streamed_dot(pair).count('  1 -> 3 [label="0"];\n') == 2
 
 
 def test_graph_work_follows_the_edges():
