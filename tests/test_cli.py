@@ -128,6 +128,8 @@ def test_outputs_match_golden_files(name, capsys):
         "dot": ["dot", path],
         "verify.json": ["verify", "--frames", "12", "--json", path],
         "verify.txt": ["verify", "--frames", "12", path],
+        "brute.json": ["brute-check", "--json", path],
+        "brute.txt": ["brute-check", path],
     }
     for suffix, argv in runs.items():
         assert main(argv) == 0
@@ -199,10 +201,24 @@ def test_verify_json_payload(capsys):
 def test_verify_detects_boundary_mismatch_with_zero_margin(capsys):
     # Margin 0 keeps the truncation boundary in view, where the two
     # realizations legitimately differ; the mismatch must be loud.
-    assert main(["verify", COMMUTING, "--frames", "4", "--margin", "0"]) == 2
+    complaint = (
+        f"{COMMUTING}: convolutional realization does not match the "
+        "pearl-necklace encoder on the GF(2) interior\n"
+    )
+    argv = ["verify", COMMUTING, "--frames", "4", "--margin", "0"]
+    assert main(argv) == 2
     captured = capsys.readouterr()
-    assert "interior_equal=FALSE" in captured.out
-    assert "does not match" in captured.err
+    assert captured.out == "interior_equal=FALSE (frames=4, margin=0, memory=1)\n"
+    assert captured.err == complaint
+    assert main([*argv, "--json"]) == 2
+    captured = capsys.readouterr()
+    golden = (GOLDEN / "commuting.verify.json").read_text()
+    assert captured.out == golden.replace(
+        '"frames": 12,\n    "interior_equal": true,\n    "margin": 3',
+        '"frames": 4,\n    "interior_equal": false,\n    "margin": 0',
+    )
+    assert captured.out != golden
+    assert captured.err == complaint
 
 
 def test_verify_window_must_fit(capsys):
@@ -276,6 +292,29 @@ def test_brute_check_small_bound_is_consistent(capsys):
     # Nothing is feasible within bound 1, which agrees with memory 3 > 1.
     assert main(["brute-check", EXAMPLE1, "--bound", "1"]) == 0
     assert capsys.readouterr().out == "graph=3 brute=exceeds-bound(1) OK\n"
+
+
+def test_brute_check_detects_a_mismatch(monkeypatch, capsys):
+    real = pearlmem.cli.brute_force_min_memory
+
+    def overcounted(enc, bound):
+        return real(enc, bound) + 1
+
+    monkeypatch.setattr(pearlmem.cli, "brute_force_min_memory", overcounted)
+    complaint = f"{EXAMPLE1}: brute-force memory disagrees with the graph analysis\n"
+    assert main(["brute-check", EXAMPLE1]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "graph=3 brute=4 MISMATCH\n"
+    assert captured.err == complaint
+    assert main(["brute-check", "--json", EXAMPLE1]) == 2
+    captured = capsys.readouterr()
+    golden = (GOLDEN / "example1.brute.json").read_text()
+    assert captured.out == golden.replace(
+        '"brute_force_frames": 3,\n    "match": true',
+        '"brute_force_frames": 4,\n    "match": false',
+    )
+    assert captured.out != golden
+    assert captured.err == complaint
 
 
 def test_selftest_runs_clean(capsys):
