@@ -40,7 +40,7 @@ from .parser import (
     parse,
     render,
 )
-from .report import AnalysisReport, analyze, to_json, to_json_dict, to_text
+from .report import AnalysisReport, analyze, to_json, to_text
 from .selftest import SelftestResult, check_instance, random_encoder, run_selftest
 
 __version__ = "0.1.0"
@@ -84,6 +84,5 @@ __all__ = [
     "satisfies_constraints",
     "to_dot",
     "to_json",
-    "to_json_dict",
     "to_text",
 ]

@@ -248,8 +248,9 @@ def frame_assignment(enc: PearlNecklace) -> FrameAssignment:
 
 
 def minimal_memory(enc: PearlNecklace) -> int:
-    """Minimal memory in frames of any convolutional realization."""
-    return longest_path_linear(enc).end_weight
+    """Minimal memory in frames of any convolutional realization, certified
+    by the frame assignment that reaches it."""
+    return frame_assignment(enc).memory
 
 
 def satisfies_constraints(enc: PearlNecklace, fa: FrameAssignment) -> bool:

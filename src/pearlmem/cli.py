@@ -4,10 +4,13 @@ Subcommands: analyze | dot | verify | brute-check | selftest.  Exit status is
 0 on success, 1 on parse or semantic errors (a file that is not UTF-8
 included), usage errors, other input problems or running out of memory, and
 2 only when verify, brute-check or selftest detects a correctness mismatch.
-Every analysis runs the linear core.  ``dot`` and ``analyze --dot`` take the
-edge count from it, refuse a graph over ``graph.MAX_DOT_EDGES`` before
-writing anything, and stream the DOT text string by string without building
-the graph.
+Every analysis runs the linear core.  ``dot`` and ``analyze --dot`` share one
+writer: it takes the edge count from the core, refuses a graph over
+``graph.MAX_DOT_EDGES`` before writing anything, and streams the DOT text
+string by string without building the graph.  ``verify`` and ``brute-check``
+share one ending: the JSON report with the check's result under
+``verification``, or a one-line result, and on a mismatch a ``file:
+complaint`` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -49,33 +52,48 @@ def _load_encoder(path: str) -> PearlNecklace:
     return parse(SourceText(_universal_newlines(text), name=path))
 
 
-def _with_verification(report: AnalysisReport, verification: dict) -> AnalysisReport:
-    return AnalysisReport(report.encoder, report.search, report.assignment, verification)
+def _write_dot(enc: PearlNecklace, edge_count: int, path: str | None) -> None:
+    """Refuse a graph over the DOT budget, then stream it to ``path`` or stdout."""
+    check_dot_edges(edge_count)
+    if path:
+        with open(path, "w", encoding="utf-8") as out:
+            write_dot(enc, out)
+    else:
+        write_dot(enc, sys.stdout)
 
 
-def _emit_report(report: AnalysisReport, as_json: bool) -> None:
-    sys.stdout.write(to_json(report) if as_json else to_text(report))
+def _check_result(
+    args: argparse.Namespace,
+    report: AnalysisReport,
+    verification: dict,
+    ok: bool,
+    line: str,
+    complaint: str,
+) -> int:
+    """Write the JSON report or the one-line result; a mismatch also prints
+    ``file: complaint`` on stderr and exits 2."""
+    if args.json:
+        sys.stdout.write(to_json(report, verification))
+    else:
+        print(line)
+    if ok:
+        return 0
+    print(f"{args.file}: {complaint}", file=sys.stderr)
+    return 2
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     enc = _load_encoder(args.file)
     report = analyze(enc)
     if args.dot:
-        check_dot_edges(report.search.edge_count)
-        with open(args.dot, "w", encoding="utf-8") as out:
-            write_dot(enc, out)
-    _emit_report(report, args.json)
+        _write_dot(enc, report.search.edge_count, args.dot)
+    sys.stdout.write(to_json(report) if args.json else to_text(report))
     return 0
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     enc = _load_encoder(args.file)
-    check_dot_edges(longest_path_linear(enc).edge_count)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as out:
-            write_dot(enc, out)
-    else:
-        write_dot(enc, sys.stdout)
+    _write_dot(enc, longest_path_linear(enc).edge_count, args.output)
     return 0
 
 
@@ -95,26 +113,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         enc, conv_encoder_gates(enc, report.assignment), memory, args.frames, margin
     )
     equal = interior_equal(pearl, conv, margin)
-    verification = {
-        "frames": args.frames,
-        "interior_equal": equal,
-        "margin": margin,
-    }
-    if args.json:
-        _emit_report(_with_verification(report, verification), True)
-    else:
-        print(
-            f"interior_equal={'TRUE' if equal else 'FALSE'} "
-            f"(frames={args.frames}, margin={margin}, memory={memory})"
-        )
-    if not equal:
-        print(
-            f"{args.file}: convolutional realization does not match the "
-            "pearl-necklace encoder on the GF(2) interior",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    return _check_result(
+        args,
+        report,
+        {"frames": args.frames, "interior_equal": equal, "margin": margin},
+        equal,
+        f"interior_equal={'TRUE' if equal else 'FALSE'} "
+        f"(frames={args.frames}, margin={margin}, memory={memory})",
+        "convolutional realization does not match the pearl-necklace encoder "
+        "on the GF(2) interior",
+    )
 
 
 def _cmd_brute_check(args: argparse.Namespace) -> int:
@@ -126,22 +134,14 @@ def _cmd_brute_check(args: argparse.Namespace) -> int:
     # None means nothing feasible within the bound, consistent iff memory > bound.
     ok = (brute == memory) or (brute is None and memory > bound)
     brute_text = f"exceeds-bound({bound})" if brute is None else str(brute)
-    verification = {
-        "bound": bound,
-        "brute_force_frames": brute,
-        "match": ok,
-    }
-    if args.json:
-        _emit_report(_with_verification(report, verification), True)
-    else:
-        print(f"graph={memory} brute={brute_text} {'OK' if ok else 'MISMATCH'}")
-    if not ok:
-        print(
-            f"{args.file}: brute-force memory disagrees with the graph analysis",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    return _check_result(
+        args,
+        report,
+        {"bound": bound, "brute_force_frames": brute, "match": ok},
+        ok,
+        f"graph={memory} brute={brute_text} {'OK' if ok else 'MISMATCH'}",
+        "brute-force memory disagrees with the graph analysis",
+    )
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:

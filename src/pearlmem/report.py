@@ -5,7 +5,8 @@ graph: both renderings read the vertex and edge counts and the critical path
 off the :class:`LongestPath`.  The graph is built only when ``report.graph``
 is first read; DOT output streams without it.  :class:`AnalysisReport` is a
 slotted class rather than a tuple so that this cache stays out of its
-equality.
+equality.  The report holds only the analysis; a checking subcommand's
+result reaches the JSON through ``to_json``'s ``verification`` argument.
 """
 
 from __future__ import annotations
@@ -21,29 +22,25 @@ from .model import PearlNecklace, _Record
 
 
 class AnalysisReport(_Record):
-    """The encoder, its longest path and frame assignment, and an optional
-    verification payload, which only the JSON rendering writes.  The graph
+    """The encoder, its longest path and its frame assignment.  The graph
     cache takes no part in equality."""
 
-    _fields = ("encoder", "search", "assignment", "verification")
+    _fields = ("encoder", "search", "assignment")
     __slots__ = (*_fields, "_graph")
     encoder: PearlNecklace
     search: LongestPath
     assignment: FrameAssignment
-    verification: dict | None
 
     def __init__(
         self,
         encoder: PearlNecklace,
         search: LongestPath,
         assignment: FrameAssignment,
-        verification: dict | None = None,
         graph: CommutativityGraph | None = None,
     ) -> None:
         object.__setattr__(self, "encoder", encoder)
         object.__setattr__(self, "search", search)
         object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "verification", verification)
         object.__setattr__(self, "_graph", graph)
 
     @property
@@ -68,7 +65,11 @@ def _vertex_label(v: int, gate_count: int) -> str | int:
     return v
 
 
-def to_json_dict(report: AnalysisReport) -> dict:
+def to_json(report: AnalysisReport, verification: dict | None = None) -> str:
+    """Byte-deterministic JSON: sorted keys, fixed indent, no timestamps.
+    A checking subcommand's ``verification`` is written under that key."""
+    import json  # only JSON output needs it; start-up stays lean
+
     enc = report.encoder
     fa = report.assignment
     gates = [
@@ -102,16 +103,9 @@ def to_json_dict(report: AnalysisReport) -> dict:
             "edge_count": report.search.edge_count,
         },
     }
-    if report.verification is not None:
-        out["verification"] = report.verification
-    return out
-
-
-def to_json(report: AnalysisReport) -> str:
-    """Byte-deterministic JSON: sorted keys, fixed indent, no timestamps."""
-    import json  # only JSON output needs it; start-up stays lean
-
-    return json.dumps(to_json_dict(report), sort_keys=True, indent=2) + "\n"
+    if verification is not None:
+        out["verification"] = verification
+    return json.dumps(out, sort_keys=True, indent=2) + "\n"
 
 
 def to_text(report: AnalysisReport) -> str:

@@ -16,6 +16,7 @@ from conftest import (
     encoders,
     make_encoder,
 )
+import pytest
 from hypothesis import given
 
 import pearlmem
@@ -81,6 +82,18 @@ def test_minimal_memory_examples():
     assert minimal_memory(make_encoder(POS_GATES)) == 3
     assert minimal_memory(make_encoder(NEG_GATES)) == 3
     assert minimal_memory(make_encoder(COMMUTING_GATES)) == 1
+
+
+def test_minimal_memory_is_certified_by_an_assignment(monkeypatch):
+    real = pearlmem.assignment.longest_path_linear
+
+    def overstated(enc):
+        lp = real(enc)
+        return lp._replace(end_weight=lp.end_weight + 1)
+
+    monkeypatch.setattr(pearlmem.assignment, "longest_path_linear", overstated)
+    with pytest.raises(ValueError):
+        minimal_memory(make_encoder(POS_GATES))
 
 
 def test_unidirectional_assignment():

@@ -50,7 +50,6 @@ PUBLIC_NAMES = [
     "satisfies_constraints",
     "to_dot",
     "to_json",
-    "to_json_dict",
     "to_text",
 ]
 
@@ -70,6 +69,10 @@ def test_names_the_benchmark_reads_exist():
     fa = assignment.assignment_from_weights(enc, lp)
     rep = report.AnalysisReport(encoder=enc, graph=g, search=lp, assignment=fa)
     assert rep.graph is g
+    analyzed = pearlmem.analyze(enc)
+    assert report.to_json(rep) == report.to_json(analyzed)
+    assert report.to_text(rep) == report.to_text(analyzed)
+    assert analyzed.graph == g
 
 
 def test_no_assert_statement_in_the_package():
