@@ -9,8 +9,8 @@ writer: it takes the edge count from the core, refuses a graph over
 ``graph.MAX_DOT_EDGES`` before writing anything, and streams the DOT text
 string by string without building the graph.  ``verify`` and ``brute-check``
 share one ending: the JSON report with the check's result under
-``verification``, or a one-line result, and on a mismatch a ``file:
-complaint`` line on stderr and exit status 2.
+``verification`` or a one-line result, then on a mismatch one
+``file: complaint`` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
