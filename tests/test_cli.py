@@ -356,6 +356,40 @@ def test_selftest_reports_disagreement_with_the_graph(monkeypatch, capsys):
     assert out.count("linear core edge_count") == 3
 
 
+SELFTEST_SEED1 = (
+    "qubits 2 CNOT(1,2)(D^-3) CNOT(2,1)(D^-3) CNOT(2,1)(D^3) CNOT(2,2)(D)",
+    "qubits 1 CNOT(1,1)(D^2) CNOT(1,1)(D^-1) CNOT(1,1)(D^-3) CNOT(1,1)(D^2) CNOT(1,1)(D^2)",
+    "qubits 1 CNOT(1,1)(D^-2) CNOT(1,1)(D^-1) CNOT(1,1)(D^3) CNOT(1,1)(D^2)",
+)
+
+
+def test_selftest_reports_oracle_failures(monkeypatch, capsys):
+    real = pearlmem.selftest.brute_force_min_memory
+
+    def overcounted(enc, bound):
+        return real(enc, bound) + 1
+
+    def unequal(a, b, margin):
+        return False
+
+    def failed(reasons):
+        pairs = enumerate(zip(reasons, SELFTEST_SEED1))
+        lines = "".join(f"  instance {i}: {r} [{src}]\n" for i, (r, src) in pairs)
+        return "selftest seed=1 count=3: 3 FAILED\n" + lines
+
+    argv = ["selftest", "--seed", "1", "--count", "3"]
+    with monkeypatch.context() as patch:
+        patch.setattr(pearlmem.selftest, "brute_force_min_memory", overcounted)
+        assert main(argv) == 2
+        reasons = [f"brute force found {m + 1}, linear core found {m}" for m in (6, 7, 7)]
+        assert capsys.readouterr().out == failed(reasons)
+    with monkeypatch.context() as patch:
+        patch.setattr(pearlmem.selftest, "interior_equal", unequal)
+        assert main(argv) == 2
+        reasons = [f"GF(2) interiors differ (frames={3 * m}, margin={m})" for m in (10, 11, 11)]
+        assert capsys.readouterr().out == failed(reasons)
+
+
 def test_selftest_rejects_negative_count(capsys):
     assert main(["selftest", "--count", "-1"]) == 1
     captured = capsys.readouterr()
