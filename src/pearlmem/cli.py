@@ -8,9 +8,9 @@ Every analysis runs the linear core.  ``dot`` and ``analyze --dot`` share one
 writer: it takes the edge count from the core, refuses a graph over
 ``graph.MAX_DOT_EDGES`` before writing anything, and streams the DOT text
 string by string without building the graph.  ``verify`` and ``brute-check``
-share one ending: the JSON report with the check's result under
-``verification`` or a one-line result, then on a mismatch one
-``file: complaint`` line on stderr and exit status 2.
+run a ``gf2`` check, defaults and refusals included, and share one ending:
+the JSON report with the check's result under ``verification`` or a one-line
+result, then on a mismatch one ``file: complaint`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -20,15 +20,8 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .assignment import conv_encoder_gates, longest_path_linear
-from .gf2 import (
-    brute_force_min_memory,
-    check_window,
-    conv_matrix,
-    fitted_margin,
-    interior_equal,
-    pearl_matrix,
-)
+from .assignment import longest_path_linear
+from .gf2 import brute_check, realization_check
 from .graph import check_dot_edges, write_dot
 from .model import PearlNecklace
 from .parser import EncoderSyntaxError, ParseError, SourceText, parse
@@ -55,7 +48,7 @@ def _load_encoder(path: str) -> PearlNecklace:
 def _write_dot(enc: PearlNecklace, edge_count: int, path: str | None) -> None:
     """Refuse a graph over the DOT budget, then stream it to ``path`` or stdout."""
     check_dot_edges(edge_count)
-    if path:
+    if path is not None:
         with open(path, "w", encoding="utf-8") as out:
             write_dot(enc, out)
     else:
@@ -85,7 +78,7 @@ def _check_result(
 def _cmd_analyze(args: argparse.Namespace) -> int:
     enc = _load_encoder(args.file)
     report = analyze(enc)
-    if args.dot:
+    if args.dot is not None:
         _write_dot(enc, report.search.edge_count, args.dot)
     sys.stdout.write(to_json(report) if args.json else to_text(report))
     return 0
@@ -100,26 +93,15 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     enc = _load_encoder(args.file)
     report = analyze(enc)
-    memory = report.assignment.memory
-    margin = (
-        args.margin
-        if args.margin is not None
-        else fitted_margin(enc, memory, args.frames)
-    )
-    # Every refusal comes before either simulation, which can take seconds.
-    check_window(args.frames, enc.frame_width, memory, margin)
-    pearl = pearl_matrix(enc, args.frames, margin)
-    conv = conv_matrix(
-        enc, conv_encoder_gates(enc, report.assignment), memory, args.frames, margin
-    )
-    equal = interior_equal(pearl, conv, margin)
+    result = realization_check(enc, report.assignment, args.frames, args.margin)
+    equal = result["interior_equal"]
     return _check_result(
         args,
         report,
-        {"frames": args.frames, "interior_equal": equal, "margin": margin},
+        result,
         equal,
-        f"interior_equal={'TRUE' if equal else 'FALSE'} "
-        f"(frames={args.frames}, margin={margin}, memory={memory})",
+        f"interior_equal={'TRUE' if equal else 'FALSE'} (frames={result['frames']}, "
+        f"margin={result['margin']}, memory={report.assignment.memory})",
         "convolutional realization does not match the pearl-necklace encoder "
         "on the GF(2) interior",
     )
@@ -129,15 +111,13 @@ def _cmd_brute_check(args: argparse.Namespace) -> int:
     enc = _load_encoder(args.file)
     report = analyze(enc)
     memory = report.assignment.memory
-    bound = args.bound if args.bound is not None else memory + 1
-    brute = brute_force_min_memory(enc, bound)
-    # None means nothing feasible within the bound, consistent iff memory > bound.
-    ok = (brute == memory) or (brute is None and memory > bound)
-    brute_text = f"exceeds-bound({bound})" if brute is None else str(brute)
+    result = brute_check(enc, memory, args.bound)
+    brute, ok = result["brute_force_frames"], result["match"]
+    brute_text = f"exceeds-bound({result['bound']})" if brute is None else str(brute)
     return _check_result(
         args,
         report,
-        {"bound": bound, "brute_force_frames": brute, "match": ok},
+        result,
         ok,
         f"graph={memory} brute={brute_text} {'OK' if ok else 'MISMATCH'}",
         "brute-force memory disagrees with the graph analysis",
@@ -196,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="GF(2) equivalence check of the derived convolutional encoder"
     )
     p.add_argument("file", help="encoder source file")
-    p.add_argument("--frames", type=int, default=12, help="truncation window (default 12)")
+    p.add_argument("--frames", type=int, help="truncation window (default: 3 x default margin)")
     p.add_argument(
         "--margin",
         type=int,

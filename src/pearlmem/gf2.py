@@ -8,6 +8,9 @@ derived from a frame assignment, compares them away from the truncation
 boundary, and brute-forces the minimal memory on small instances.  None of it
 reuses the graph construction, so agreement is evidence of correctness.
 
+``verify``, ``brute-check`` and ``selftest`` share :func:`realization_check`
+and :func:`brute_check`, the one home of each check's defaults and refusals.
+
 A matrix is held as its rows, each a Python int used as a bitmask: bit c of
 row r is entry (r, c).  A CNOT from global qubit s to t XORs row s into row t.
 
@@ -43,6 +46,7 @@ from itertools import accumulate
 from operator import xor
 from typing import Iterable, NamedTuple, Sequence
 
+from .assignment import FrameAssignment, conv_encoder_gates
 from .model import PearlNecklace, constraint_set
 
 # Largest frames * frame_width simulated: a matrix holds up to that many bits
@@ -82,17 +86,6 @@ class Gf2Circuit(_CircuitFields):
         return cls(*iterable)
 
 
-def _check_size(frames: int, frame_width: int) -> None:
-    if frames < 1:
-        raise ValueError(f"frames must be >= 1, got {frames}")
-    size = frames * frame_width
-    if size > MAX_QUBITS:
-        raise ValueError(
-            f"GF(2) simulation of {frames} frames x {frame_width} qubits = {size} "
-            f"qubits exceeds the limit of {MAX_QUBITS}"
-        )
-
-
 def _check_margin(frames: int, margin: int) -> None:
     if not 0 <= 2 * margin < frames:
         raise ValueError(f"margin {margin} leaves no interior in {frames} frames")
@@ -103,7 +96,14 @@ def check_window(frames: int, frame_width: int, memory: int, margin: int) -> Non
     order: no frames, more than :data:`MAX_QUBITS` qubits, a block window of
     ``memory + 1`` frames that does not fit, a margin that leaves no interior.
     Cheap, so callers can refuse before simulating anything."""
-    _check_size(frames, frame_width)
+    if frames < 1:
+        raise ValueError(f"frames must be >= 1, got {frames}")
+    size = frames * frame_width
+    if size > MAX_QUBITS:
+        raise ValueError(
+            f"GF(2) simulation of {frames} frames x {frame_width} qubits = {size} "
+            f"qubits exceeds the limit of {MAX_QUBITS}"
+        )
     if frames <= memory:
         raise ValueError(
             f"window of {memory + 1} frames does not fit in {frames} frames"
@@ -129,13 +129,11 @@ def pearl_matrix(enc: PearlNecklace, frames: int, margin: int = 0) -> Gf2Circuit
     Gate strings are applied in order; within a string, frames ascend.  Gates
     whose partner frame falls outside [0, frames) are dropped.  Only the
     columns :func:`interior_equal` reads at ``margin`` are simulated; margin 0
-    gives the full matrix.  Raises ``ValueError`` when frames < 1, when
-    frames * frame_width exceeds :data:`MAX_QUBITS` or when the margin leaves
-    no interior.
+    gives the full matrix.  Raises ``ValueError`` as :func:`check_window` does
+    for a block window of one frame.
     """
     n = enc.frame_width
-    _check_size(frames, n)
-    _check_margin(frames, margin)
+    check_window(frames, n, 0, margin)
     rows = _interior_identity(frames, n, margin)
     size = frames * n
     for a, b, l in enc.strings:
@@ -224,6 +222,24 @@ def interior_equal(a: Gf2Circuit, b: Gf2Circuit, margin: int) -> bool:
     return all(not (x ^ y) & mask for x, y in zip(a.rows[lo:hi], b.rows[lo:hi]))
 
 
+def realization_check(
+    enc: PearlNecklace, fa: FrameAssignment, frames: int | None = None, margin: int | None = None
+) -> dict:
+    """Compare the pearl-necklace encoder with the convolutional encoder of
+    ``fa`` over ``frames`` frames (default 3 * :func:`default_margin`), away
+    from ``margin`` boundary frames on each side (default :func:`fitted_margin`),
+    refusing as :func:`check_window` does before either simulation starts."""
+    if frames is None:
+        frames = 3 * default_margin(enc, fa.memory)
+    if margin is None:
+        margin = fitted_margin(enc, fa.memory, frames)
+    check_window(frames, enc.frame_width, fa.memory, margin)
+    pearl = pearl_matrix(enc, frames, margin)
+    conv = conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames, margin)
+    equal = interior_equal(pearl, conv, margin)
+    return {"frames": frames, "interior_equal": equal, "margin": margin}
+
+
 def brute_force_min_memory(enc: PearlNecklace, bound: int) -> int | None:
     """Minimal memory by exhaustive search over per-gate base offsets.
 
@@ -286,3 +302,13 @@ def brute_force_min_memory(enc: PearlNecklace, bound: int) -> int | None:
 
     extend(0, 0)
     return best
+
+
+def brute_check(enc: PearlNecklace, memory: int, bound: int | None = None) -> dict:
+    """Check ``memory`` against brute force over offsets up to ``bound`` (default
+    memory + 1); finding nothing within the bound matches iff memory > bound."""
+    if bound is None:
+        bound = memory + 1
+    brute = brute_force_min_memory(enc, bound)
+    match = brute == memory or (brute is None and memory > bound)
+    return {"bound": bound, "brute_force_frames": brute, "match": match}

@@ -6,13 +6,8 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .assignment import (
-    assignment_from_weights,
-    conv_encoder_gates,
-    longest_path_linear,
-    longest_path_weights,
-)
-from .gf2 import brute_force_min_memory, conv_matrix, default_margin, interior_equal, pearl_matrix
+from .assignment import assignment_from_weights, longest_path_linear, longest_path_weights
+from .gf2 import brute_check, realization_check
 from .graph import build_graph
 from .model import PearlNecklace
 from .parser import render
@@ -53,16 +48,13 @@ def check_instance(enc: PearlNecklace) -> str | None:
         if ours != theirs:
             return f"linear core {name} {ours} differs from the graph's {theirs}"
 
-    brute = brute_force_min_memory(enc, bound=fa.memory + 1)
-    if brute != fa.memory:
-        return f"brute force found {brute}, linear core found {fa.memory}"
+    brute = brute_check(enc, fa.memory)
+    if not brute["match"]:
+        return f"brute force found {brute['brute_force_frames']}, linear core found {fa.memory}"
 
-    margin = default_margin(enc, fa.memory)
-    frames = 3 * margin
-    pearl = pearl_matrix(enc, frames, margin)
-    conv = conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames, margin)
-    if not interior_equal(pearl, conv, margin):
-        return f"GF(2) interiors differ (frames={frames}, margin={margin})"
+    gf2 = realization_check(enc, fa)
+    if not gf2["interior_equal"]:
+        return f"GF(2) interiors differ (frames={gf2['frames']}, margin={gf2['margin']})"
     return None
 
 

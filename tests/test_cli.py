@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line front-end."""
 
+import collections
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,9 @@ import pytest
 
 import pearlmem
 import pearlmem.cli
+import pearlmem.gf2
 import pearlmem.selftest
-from pearlmem import corpus_path
+from pearlmem import corpus_path, random_encoder, render
 from pearlmem.cli import main
 
 EXAMPLE1 = str(corpus_path("example1.pne"))
@@ -103,6 +106,14 @@ def test_dot_to_file_and_determinism(tmp_path, capsys):
     first = target.read_bytes()
     assert main(["dot", EXAMPLE3, "--output", str(target)]) == 0
     assert target.read_bytes() == first
+
+
+def test_empty_dot_path_is_an_error(capsys):
+    for argv in (["analyze", EXAMPLE1, "--dot", ""], ["dot", EXAMPLE1, "-o", ""]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
 
 
 def test_analyze_writes_dot_side_output(tmp_path, capsys):
@@ -226,6 +237,19 @@ def test_verify_window_must_fit(capsys):
     assert "does not fit" in capsys.readouterr().err
 
 
+def test_verify_default_window_fits_the_encoder(tmp_path, capsys):
+    # The window of 3 x the default margin that selftest checks; a fixed
+    # --frames 12 refuses memory >= 12 and caps the margin too low on others.
+    rng = random.Random(5)
+    source = tmp_path / "seeded.pne"
+    fixed = collections.Counter()
+    for _ in range(60):
+        source.write_text(render(random_encoder(rng, 6, 4, (-8, 8))))
+        assert main(["verify", str(source)]) == 0, source.read_text()
+        fixed[main(["verify", str(source), "--frames", "12"])] += 1
+    assert fixed[1] > 10 and fixed[2] > 10, fixed
+
+
 def test_verify_refuses_a_simulation_over_budget(tmp_path, capsys):
     wide = tmp_path / "wide.pne"
     wide.write_text("qubits 100000\nCNOT(1,2)(D)\n")
@@ -233,7 +257,7 @@ def test_verify_refuses_a_simulation_over_budget(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: GF(2) simulation of 12 frames x 100000 qubits = 1200000 qubits "
+        "error: GF(2) simulation of 9 frames x 100000 qubits = 900000 qubits "
         "exceeds the limit of 32768\n"
     )
 
@@ -242,8 +266,8 @@ def test_verify_refuses_before_simulating(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("simulation started")
 
-    monkeypatch.setattr(pearlmem.cli, "pearl_matrix", refuse)
-    monkeypatch.setattr(pearlmem.cli, "conv_matrix", refuse)
+    monkeypatch.setattr(pearlmem.gf2, "pearl_matrix", refuse)
+    monkeypatch.setattr(pearlmem.gf2, "conv_matrix", refuse)
     # example1 has memory 3 and frame width 3.  Each refusal wins over the
     # ones after it: no frames, the qubit budget, the window, the margin.
     cases = [
@@ -295,12 +319,12 @@ def test_brute_check_small_bound_is_consistent(capsys):
 
 
 def test_brute_check_detects_a_mismatch(monkeypatch, capsys):
-    real = pearlmem.cli.brute_force_min_memory
+    real = pearlmem.gf2.brute_force_min_memory
 
     def overcounted(enc, bound):
         return real(enc, bound) + 1
 
-    monkeypatch.setattr(pearlmem.cli, "brute_force_min_memory", overcounted)
+    monkeypatch.setattr(pearlmem.gf2, "brute_force_min_memory", overcounted)
     complaint = f"{EXAMPLE1}: brute-force memory disagrees with the graph analysis\n"
     assert main(["brute-check", EXAMPLE1]) == 2
     captured = capsys.readouterr()
@@ -364,7 +388,7 @@ SELFTEST_SEED1 = (
 
 
 def test_selftest_reports_oracle_failures(monkeypatch, capsys):
-    real = pearlmem.selftest.brute_force_min_memory
+    real = pearlmem.gf2.brute_force_min_memory
 
     def overcounted(enc, bound):
         return real(enc, bound) + 1
@@ -379,12 +403,12 @@ def test_selftest_reports_oracle_failures(monkeypatch, capsys):
 
     argv = ["selftest", "--seed", "1", "--count", "3"]
     with monkeypatch.context() as patch:
-        patch.setattr(pearlmem.selftest, "brute_force_min_memory", overcounted)
+        patch.setattr(pearlmem.gf2, "brute_force_min_memory", overcounted)
         assert main(argv) == 2
         reasons = [f"brute force found {m + 1}, linear core found {m}" for m in (6, 7, 7)]
         assert capsys.readouterr().out == failed(reasons)
     with monkeypatch.context() as patch:
-        patch.setattr(pearlmem.selftest, "interior_equal", unequal)
+        patch.setattr(pearlmem.gf2, "interior_equal", unequal)
         assert main(argv) == 2
         reasons = [f"GF(2) interiors differ (frames={3 * m}, margin={m})" for m in (10, 11, 11)]
         assert capsys.readouterr().out == failed(reasons)
