@@ -16,6 +16,18 @@ width defaults to the largest qubit index used.
 Diagnostics are positioned ``name:line:column``.  Only ``"\n"`` ends a line,
 columns count characters from 1, and end of input sits one past the last
 character.  The CLI maps CRLF and CR to ``"\n"`` before parsing.
+
+``parse`` takes one of two paths over the whole text.  The fast path matches
+one statement at a time with ``_STATEMENT_PATTERN``: the whitespace and
+comments before it, then a gate with no space inside it (as ``render`` writes
+them), a ``qubits N`` header as the first statement, or end of input; it
+builds the gate strings straight from the groups.  Any other text, and any
+statement that fails a check (an index below 1 or beyond the declared width,
+``CNOT(a,a)(1)``, a signed zero exponent, a width below 1, a second header,
+an integer of more than 18 digits), sends the whole text to the tokenizer and
+recursive-descent parser instead, a second pass only on rare or wrong input.
+Only that path writes diagnostics, and only it reads the other spellings,
+such as ``CNOT (1 ,2)(D ^ 3)``.
 """
 
 from __future__ import annotations
@@ -60,12 +72,63 @@ class EncoderSemanticError(ParseError):
     pass
 
 
+# Whitespace and comments, then one statement: a canonical gate (source,
+# target, then "1", "D" or the exponent of "D^k"), a header (its width), or
+# end of input (no group).  Digits are ASCII only, as for the tokenizer, and
+# at most 18, so a longer literal falls back to the tokenizer's diagnostic.
+# A comment runs to the end of its line: (?![^\n]) keeps a failed match from
+# backtracking into it and reading what follows '#' as a statement.  Like
+# _TOKEN_PATTERN, it is compiled on first use through re's cache, so that
+# importing the parser compiles no pattern.
+_STATEMENT_PATTERN = (
+    r"\s*(?:#[^\n]*(?![^\n])\s*)*"
+    r"(?:CNOT\(([0-9]{1,18}),([0-9]{1,18})\)\((?:(1)|D(?:\^(-?[0-9]{1,18}))?)\)"
+    r"|qubits +([0-9]{1,18})|\Z)"
+)
+
+
+def _parse_statements(text: str) -> PearlNecklace | None:
+    """The encoder, when every statement of ``text`` matches
+    ``_STATEMENT_PATTERN`` and passes the parser's checks; otherwise None."""
+    match = re.compile(_STATEMENT_PATTERN).match
+    m = match(text)
+    declared_width = None
+    if m is not None and m[5] is not None:
+        declared_width = int(m[5])
+        m = match(text, m.end())
+    strings: list[GateString] = []
+    append = strings.append
+    while m is not None and m[1] is not None:
+        a, b, one, exp, _ = m.groups()
+        source, target = int(a), int(b)
+        if one is not None:
+            degree = 0
+        elif exp is None:
+            degree = 1
+        else:
+            degree = int(exp)
+            if degree == 0 and exp[0] == "-":
+                return None
+        if source < 1 or target < 1 or (source == target and degree == 0):
+            return None
+        append(GateString(source, target, degree))
+        m = match(text, m.end())
+    if m is None or m[5] is not None:  # not canonical, or a second header
+        return None
+    used = max((max(g.source, g.target) for g in strings), default=1)
+    if declared_width is None:
+        return PearlNecklace(strings, used)
+    if used > declared_width:  # also a width below 1, as used is at least 1
+        return None
+    return PearlNecklace(strings, declared_width)
+
+
 # Whitespace and comments, then one token: an INT (ASCII digits only; \d would
 # take any script's digits), a NAME, punctuation, any other character (an
 # error), or end of input (no group), so it matches at every offset and
 # finditer yields the tokens back to back.  [^\W\d] also starts a NAME at a
 # non-decimal numeral such as '\u00b2'; _tokenize rejects those.
-_TOKEN = re.compile(
+_TOKEN_PATTERN = (
     r"(?:\s+|#[^\n]*)*(?:(?P<INT>-?[0-9]+)|(?P<NAME>[^\W\d]\w*)|(?P<PUNCT>[(),^])|(?P<BAD>.)|\Z)"
 )
 _Tok = tuple[str, str, int]  # (kind, text, offset); punctuation's kind is itself
@@ -74,7 +137,7 @@ _Tok = tuple[str, str, int]  # (kind, text, offset); punctuation's kind is itsel
 def _tokenize(text: str, name: str) -> list[_Tok]:
     """The tokens of ``text``, ending with an ``EOF`` token one past its end."""
     tokens = []
-    for m in _TOKEN.finditer(text):
+    for m in re.finditer(_TOKEN_PATTERN, text):
         kind = m.lastgroup
         if kind is None:
             break
@@ -213,7 +276,10 @@ def parse(src: str | SourceText) -> PearlNecklace:
     """Parse encoder source text; raises :class:`ParseError` with position
     info.  Diagnostics name the input by ``SourceText.name``."""
     text, name = src if isinstance(src, SourceText) else SourceText(src)
-    return _Parser(_tokenize(text, name), text, name).parse_file()
+    enc = _parse_statements(text)
+    if enc is None:
+        enc = _Parser(_tokenize(text, name), text, name).parse_file()
+    return enc
 
 
 def render(enc: PearlNecklace) -> str:

@@ -1,14 +1,16 @@
 """Shared fixtures, hypothesis strategies, and the reference graph builders,
-GF(2) builders and parser for the test suite."""
+GF(2) builders, parser and JSON writer for the test suite."""
 
 from __future__ import annotations
 
+import json
 from typing import NamedTuple
 
 from hypothesis import strategies as st
 
 from pearlmem import (
     START,
+    AnalysisReport,
     CommutativityGraph,
     EncoderSemanticError,
     EncoderSyntaxError,
@@ -428,3 +430,47 @@ def parse_reference(src: str | SourceText) -> PearlNecklace:
     """What ``parse`` must return or raise for ``src``."""
     text, name = src if isinstance(src, SourceText) else SourceText(src)
     return _ReferenceParser(_tokenize_reference(text, name), name).parse_file()
+
+
+# Reference JSON writer: the report as a dict through json.dumps.  to_json
+# must write the same bytes.
+
+
+def to_json_reference(report: AnalysisReport, verification: dict | None = None) -> str:
+    """What ``to_json`` must write for ``report`` and ``verification``."""
+    enc = report.encoder
+    fa = report.assignment
+    n = len(enc.strings)
+    gates = [
+        {
+            "k": k,
+            "a": g.source,
+            "b": g.target,
+            "l": g.degree,
+            "sigma": fa.sigma[k - 1],
+            "tau": fa.tau[k - 1],
+            "w": report.search.gate_weights[k - 1],
+        }
+        for k, g in enumerate(enc.strings, start=1)
+    ]
+    labels = {START: "START", n + 1: "END"}
+    out: dict = {
+        "input": {
+            "gate_strings": [g.notation() for g in enc.strings],
+            "qubits": enc.frame_width,
+        },
+        "memory_frames": fa.memory,
+        "memory_qubits": fa.memory_qubits,
+        "gates": gates,
+        "longest_path": {
+            "vertices": [labels.get(v, v) for v in report.search.path],
+            "weight": report.search.end_weight,
+        },
+        "graph": {
+            "vertex_count": n + 2,
+            "edge_count": report.search.edge_count,
+        },
+    }
+    if verification is not None:
+        out["verification"] = verification
+    return json.dumps(out, sort_keys=True, indent=2) + "\n"

@@ -475,16 +475,20 @@ def test_line_endings_read_as_in_text_mode(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"{crlf}:3:1: ")
 
 
-def _assert_cli_import_leaves_out(*unwanted: str) -> None:
+def _assert_cli_leaves_out(*unwanted: str, argv: list[str] | None = None) -> None:
+    """Import the CLI in a fresh interpreter, run ``main(argv)`` if given, and
+    check that none of the ``unwanted`` modules was loaded."""
     src = str(Path(pearlmem.__file__).resolve().parents[1])
+    run = "" if argv is None else f"pearlmem.cli.main({argv!r}); "
     subprocess.run(
         [
             sys.executable,
             "-c",
-            f"import pearlmem.cli, sys; loaded = set({unwanted!r}) & set(sys.modules); "
+            f"import pearlmem.cli, sys; {run}loaded = set({unwanted!r}) & set(sys.modules); "
             "assert not loaded, loaded",
         ],
         env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.DEVNULL,
         timeout=60,
         check=True,
     )
@@ -493,9 +497,14 @@ def _assert_cli_import_leaves_out(*unwanted: str) -> None:
 def test_cli_start_up_does_not_import_numpy():
     # Nor dataclasses and inspect, whose import and code generation would
     # cost about as much as the rest of the package.
-    _assert_cli_import_leaves_out("numpy", "dataclasses", "inspect")
+    _assert_cli_leaves_out("numpy", "dataclasses", "inspect")
 
 
 def test_cli_start_up_does_not_import_json():
     # Only JSON output needs it, and it is the largest import after argparse.
-    _assert_cli_import_leaves_out("json")
+    _assert_cli_leaves_out("json")
+
+
+def test_analyze_json_does_not_import_json():
+    # The report is written from templates; only a check's result needs json.
+    _assert_cli_leaves_out("json", argv=["analyze", EXAMPLE1, "--json"])

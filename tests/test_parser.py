@@ -1,15 +1,19 @@
 """Tests for the encoder text format: grammar, diagnostics, round-trip."""
 
+from unittest import mock
+
 import pytest
 from conftest import encoders, make_encoder, parse_reference
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pearlmem.parser
 from pearlmem import (
     EncoderSemanticError,
     EncoderSyntaxError,
     ParseError,
     SourceText,
+    corpus_files,
     parse,
     render,
 )
@@ -45,6 +49,8 @@ def test_parse_header_and_comments():
 def test_parse_tokens_may_be_spaced_apart():
     enc = parse("CNOT ( 1 , 2 ) ( D ^ 3 )")
     assert gates_of(enc) == [(1, 2, 3)]
+    # Spaced spellings reach the tokenizer; render's spelling does not.
+    assert parse("CNOT (1 ,2)(D ^ 3)") == parse("CNOT(1,2)(D^3)") == enc
 
 
 def test_parse_preserves_textual_order():
@@ -195,9 +201,50 @@ def test_render_degree_notation():
     assert render(enc) == "qubits 2\nCNOT(1,2)(D)\nCNOT(2,1)(D^-2)\nCNOT(1,2)(1)"
 
 
-@given(encoders(max_strings=8, max_width=6, degree_range=(-5, 5)))
+# Canonical text must take the statement fast path, with the tokenizer
+# patched to fail: a silent fallback would keep every result and lose the
+# speed.
+
+
+def _no_tokenizer(text, name):
+    raise AssertionError(f"{name}: canonical text reached the tokenizer")
+
+
+@given(encoders(max_strings=8, max_width=12, degree_range=(-12, 12)))
 def test_round_trip(enc):
-    assert parse(render(enc)) == enc
+    with mock.patch.object(pearlmem.parser, "_tokenize", _no_tokenizer):
+        assert parse(render(enc)) == enc
+
+
+def test_corpus_and_readme_take_the_fast_path(monkeypatch):
+    readme = "CNOT(2,3)(D) CNOT(1,2)(D) CNOT(2,3)(D^2) CNOT(1,2)(1) CNOT(2,1)(D)"
+    texts = [SourceText(readme, name="README")]
+    texts += [SourceText(path.read_text(), name=path.name) for path in corpus_files()]
+    monkeypatch.setattr(pearlmem.parser, "_tokenize", _no_tokenizer)
+    assert [parse(src) for src in texts] == [parse_reference(src) for src in texts]
+
+
+# Near misses of canonical statements, which the fast path must hand to the
+# tokenizer: a delay that only starts like (1) or (D), a header followed by a
+# word, a width or index out of range, a single-qubit CNOT, a signed zero, a
+# second header and an index of 19 digits.
+NEAR_MISSES = [
+    "CNOT(1,2)(10)", "CNOT(1,2)(D2)", "qubits 2x", "qubits 0\n", "CNOT(0,1)(D)",
+    "CNOT(1,1)(1)", "CNOT(1,2)(D^-0)", "qubits 2\nqubits 3\n",
+    "CNOT(" + "1" * 19 + ",1)(D)",
+]
+
+
+@pytest.mark.parametrize("text", NEAR_MISSES)
+def test_near_misses_agree_with_the_reference(text):
+    try:
+        expected = parse_reference(text)
+    except ParseError as err:
+        with pytest.raises(type(err)) as exc:
+            parse(text)
+        assert str(exc.value) == str(err)
+    else:
+        assert parse(text) == expected
 
 
 # Whole statements, every token of the grammar, near misses and separators;
@@ -205,6 +252,7 @@ def test_round_trip(enc):
 STATEMENTS = [
     "qubits 3\n", "CNOT(1,2)(D)", "CNOT(2,1)(1)", "CNOT(3,3)(D^-2)",
     "CNOT (1 ,2)(D ^ 3)", "CNOT(02,1)(D^-0)", "\n# CNOT(1,2)(D)\n",
+    *NEAR_MISSES,
 ]
 GRAMMAR_TOKENS = [
     "qubits", "CNOT", "(", ")", ",", "^", "D", "D^", "1", "2", "3", "0", "-",
