@@ -274,8 +274,6 @@ def brute_force_min_memory(enc: PearlNecklace, bound: int) -> int | None:
 
     def extend(k: int, cur_max: int) -> None:
         nonlocal best
-        if best is not None and cur_max >= best:
-            return
         if k == n:
             best = cur_max
             return

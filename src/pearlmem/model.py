@@ -7,6 +7,9 @@ flagged as non-commuting when the source qubit index of one equals the target
 qubit index of the other; those collisions are what the rest of the package
 turns into scheduling constraints.
 
+The records own the encoder's value rules and raise ``ValueError`` on any
+value they refuse; the parser repeats the rules only to position its errors.
+
 The package's records are immutable values.  Most are ``typing.NamedTuple``
 classes, so they unpack, compare equal to plain tuples of the same fields and
 copy with ``_replace``; those that validate their fields (``GateString``,
@@ -99,15 +102,18 @@ class _Record:
 class PearlNecklace(_Record):
     """An ordered succession of gate strings over frames of ``frame_width`` qubits.
 
-    Not a tuple: its length is the number of gate strings.
+    When ``frame_width`` is omitted it defaults to the largest qubit index
+    used (at least 1).  Not a tuple: its length is the number of gate strings.
     """
 
     __slots__ = _fields = ("strings", "frame_width")
     strings: tuple[GateString, ...]
     frame_width: int
 
-    def __init__(self, strings: Iterable[GateString], frame_width: int) -> None:
+    def __init__(self, strings: Iterable[GateString], frame_width: int | None = None) -> None:
         strings = tuple(strings)
+        if frame_width is None:
+            frame_width = max((max(g.source, g.target) for g in strings), default=1)
         if frame_width < 1:
             raise ValueError(f"frame_width must be >= 1, got {frame_width}")
         for k, g in enumerate(strings, start=1):
@@ -125,15 +131,8 @@ class PearlNecklace(_Record):
         gates: Iterable[tuple[int, int, int]],
         frame_width: int | None = None,
     ) -> "PearlNecklace":
-        """Build from ``(source, target, degree)`` triples.
-
-        When ``frame_width`` is omitted it defaults to the largest qubit index
-        used (at least 1).
-        """
-        strings = tuple(GateString(a, b, l) for a, b, l in gates)
-        if frame_width is None:
-            frame_width = max((max(g.source, g.target) for g in strings), default=1)
-        return cls(strings, frame_width)
+        """Build from ``(source, target, degree)`` triples."""
+        return cls((GateString(a, b, l) for a, b, l in gates), frame_width)
 
     def __len__(self) -> int:
         return len(self.strings)

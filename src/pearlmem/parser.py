@@ -21,13 +21,13 @@ character.  The CLI maps CRLF and CR to ``"\n"`` before parsing.
 one statement at a time with ``_STATEMENT_PATTERN``: the whitespace and
 comments before it, then a gate with no space inside it (as ``render`` writes
 them), a ``qubits N`` header as the first statement, or end of input; it
-builds the gate strings straight from the groups.  Any other text, and any
-statement that fails a check (an index below 1 or beyond the declared width,
-``CNOT(a,a)(1)``, a signed zero exponent, a width below 1, a second header,
-an integer of more than 18 digits), sends the whole text to the tokenizer and
-recursive-descent parser instead, a second pass only on rare or wrong input.
-Only that path writes diagnostics, and only it reads the other spellings,
-such as ``CNOT (1 ,2)(D ^ 3)``.
+builds the records straight from the groups.  Any other text (a signed zero
+exponent, a second header, an integer of more than 18 digits), and any value
+that ``GateString`` or ``PearlNecklace`` refuses with ``ValueError``, sends the
+whole text to the tokenizer and recursive-descent parser instead, a second
+pass only on rare or wrong input.  Only that path writes diagnostics: it
+checks the records' rules again at each value's ``line:column``.  Only it
+reads the other spellings, such as ``CNOT (1 ,2)(D ^ 3)``.
 """
 
 from __future__ import annotations
@@ -89,7 +89,9 @@ _STATEMENT_PATTERN = (
 
 def _parse_statements(text: str) -> PearlNecklace | None:
     """The encoder, when every statement of ``text`` matches
-    ``_STATEMENT_PATTERN`` and passes the parser's checks; otherwise None."""
+    ``_STATEMENT_PATTERN`` and the records accept it; otherwise None.  The
+    records check the indices and the width; this checks only what they cannot
+    see: a signed zero exponent and a header after the first statement."""
     match = re.compile(_STATEMENT_PATTERN).match
     m = match(text)
     declared_width = None
@@ -98,29 +100,24 @@ def _parse_statements(text: str) -> PearlNecklace | None:
         m = match(text, m.end())
     strings: list[GateString] = []
     append = strings.append
-    while m is not None and m[1] is not None:
-        a, b, one, exp, _ = m.groups()
-        source, target = int(a), int(b)
-        if one is not None:
-            degree = 0
-        elif exp is None:
-            degree = 1
-        else:
-            degree = int(exp)
-            if degree == 0 and exp[0] == "-":
-                return None
-        if source < 1 or target < 1 or (source == target and degree == 0):
+    try:
+        while m is not None and m[1] is not None:
+            a, b, one, exp, _ = m.groups()
+            if one is not None:
+                degree = 0
+            elif exp is None:
+                degree = 1
+            else:
+                degree = int(exp)
+                if degree == 0 and exp[0] == "-":
+                    return None
+            append(GateString(int(a), int(b), degree))
+            m = match(text, m.end())
+        if m is None or m[5] is not None:  # not canonical, or a second header
             return None
-        append(GateString(source, target, degree))
-        m = match(text, m.end())
-    if m is None or m[5] is not None:  # not canonical, or a second header
+        return PearlNecklace(strings, declared_width)
+    except ValueError:
         return None
-    used = max((max(g.source, g.target) for g in strings), default=1)
-    if declared_width is None:
-        return PearlNecklace(strings, used)
-    if used > declared_width:  # also a width below 1, as used is at least 1
-        return None
-    return PearlNecklace(strings, declared_width)
 
 
 # Whitespace and comments, then one token: an INT (ASCII digits only; \d would
@@ -201,11 +198,7 @@ class _Parser:
         strings: list[GateString] = []
         while self.peek()[0] != "EOF":
             strings.append(self.parse_gate(declared_width))
-
-        width = declared_width
-        if width is None:
-            width = max((max(g.source, g.target) for g in strings), default=1)
-        return PearlNecklace(tuple(strings), width)
+        return PearlNecklace(strings, declared_width)
 
     def parse_gate(self, declared_width: int | None) -> GateString:
         tok = self.advance()

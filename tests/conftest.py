@@ -9,16 +9,16 @@ from typing import NamedTuple
 from hypothesis import strategies as st
 
 from pearlmem import (
-    START,
     AnalysisReport,
     CommutativityGraph,
     EncoderSemanticError,
     EncoderSyntaxError,
     GateString,
-    Gf2Circuit,
     PearlNecklace,
     SourceText,
 )
+from pearlmem.gf2 import Gf2Circuit
+from pearlmem.graph import START
 from pearlmem.parser import RESERVED_GATES
 
 # The three bundled five-string encoders plus the commuting pair, as triples.

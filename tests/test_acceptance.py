@@ -18,21 +18,20 @@ from conftest import (
 from pearlmem import (
     SourceText,
     analyze,
-    brute_force_min_memory,
     build_graph,
-    corpus_files,
     corpus_path,
     frame_assignment,
-    longest_path_weights,
     parse,
-    random_encoder,
     render,
-    satisfies_constraints,
     to_dot,
     to_json,
 )
+from pearlmem.assignment import longest_path_weights, satisfies_constraints
 from pearlmem.cli import main
+from pearlmem.corpus import corpus_files
+from pearlmem.gf2 import brute_force_min_memory
 from pearlmem.graph import write_dot
+from pearlmem.selftest import random_encoder
 
 POS_TEXT = "CNOT(2,3)(D) CNOT(1,2)(D) CNOT(2,3)(D^2) CNOT(1,2)(1) CNOT(2,1)(D)"
 

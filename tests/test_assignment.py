@@ -21,24 +21,27 @@ from hypothesis import given
 
 import pearlmem
 from pearlmem import (
-    START,
     AnalysisReport,
     analyze,
     FrameAssignment,
     PearlNecklace,
     build_graph,
-    conv_encoder_gates,
-    assignment_from_weights,
+    corpus_path,
     frame_assignment,
+    parse,
+    render,
+)
+from pearlmem.assignment import (
+    assignment_from_weights,
+    conv_encoder_gates,
     longest_path_linear,
     longest_path_weights,
     minimal_memory,
-    parse,
-    random_encoder,
-    render,
     satisfies_constraints,
 )
+from pearlmem.graph import START
 from pearlmem.model import constraint_set
+from pearlmem.selftest import random_encoder
 
 
 def enumerate_longest(graph):
@@ -257,7 +260,7 @@ def test_corrupted_longest_path_raises_under_optimize():
     script = f"""
 import pearlmem as pm
 enc = pm.PearlNecklace.from_tuples({POS_GATES!r})
-lp = pm.longest_path_weights(pm.build_graph(enc))
+lp = pm.assignment.longest_path_weights(pm.build_graph(enc))
 for bad in (
     lp._replace(gate_weights=(0,) * len(lp.gate_weights)),
     lp._replace(end_weight=lp.end_weight + 1),
@@ -266,7 +269,7 @@ for bad in (
     lp._replace(path=(0, 5, 6)),  # real edges, but weight 1
 ):
     try:
-        pm.assignment_from_weights(enc, bad)
+        pm.assignment.assignment_from_weights(enc, bad)
     except ValueError as err:
         print("raised:", err)
     else:
@@ -288,6 +291,71 @@ for bad in (
     assert "below frame 0" in lines[2]
     assert "step 1 -> 3 is not a graph edge" in lines[3]
     assert "critical path weighs 1, not the longest-path weight 3" in lines[4]
+
+
+def _tampered(gates, **changes):
+    enc = make_encoder(gates)
+    return lambda: assignment_from_weights(enc, longest_path_linear(enc)._replace(**changes))
+
+
+# One tampering per refusal.  The search on POS_GATES gives the weights
+# (0, 1, 0, 2, 2) and the critical path (START, 1, 2, 5, END).
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            _tampered(POS_GATES, gate_weights=(0, 1, 0, 2)),
+            ValueError,
+            "weights were not computed from this encoder",
+        ),
+        (
+            _tampered(POS_GATES, gate_weights=(0, 0, 0, 2, 2)),
+            ValueError,
+            "longest-path weights give an assignment that violates a pair constraint",
+        ),
+        (
+            _tampered([(1, 2, 1)], gate_weights=(-1,), end_weight=0),
+            ValueError,
+            "longest-path weights place a gate below frame 0",
+        ),
+        (
+            _tampered(POS_GATES, path=(1, 2, 5, 6)),
+            ValueError,
+            "critical path (1, 2, 5, 6) does not run from START to END",
+        ),
+        (
+            _tampered(POS_GATES, path=(0, 1, 2, 5, 6, 6)),
+            ValueError,
+            "critical path step 6 -> 6 is not a graph edge",
+        ),
+        (
+            lambda: conv_encoder_gates(
+                make_encoder(POS_GATES), frame_assignment(make_encoder([(1, 2, 1)]))
+            ),
+            ValueError,
+            "assignment was not produced from this encoder",
+        ),
+        (
+            lambda: corpus_path("nope.pne"),
+            FileNotFoundError,
+            "no corpus file 'nope.pne' "
+            "(have: commuting.pne, example1.pne, example2.pne, example3.pne)",
+        ),
+    ],
+    ids=[
+        "short-weights",
+        "pair-constraint",
+        "below-frame-0",
+        "no-start",
+        "end-to-end-step",
+        "foreign-assignment",
+        "no-corpus-file",
+    ],
+)
+def test_each_refusal_names_its_fault(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def assert_same_search(enc):

@@ -14,8 +14,9 @@ import pearlmem
 import pearlmem.cli
 import pearlmem.gf2
 import pearlmem.selftest
-from pearlmem import corpus_path, random_encoder, render
+from pearlmem import corpus_path, render
 from pearlmem.cli import main
+from pearlmem.selftest import random_encoder
 
 EXAMPLE1 = str(corpus_path("example1.pne"))
 EXAMPLE3 = str(corpus_path("example3.pne"))

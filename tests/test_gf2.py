@@ -22,22 +22,20 @@ from conftest import (
 )
 
 import pearlmem.gf2
-from pearlmem.gf2 import check_window
-from pearlmem.model import constraint_set
-from pearlmem import (
+from pearlmem import PearlNecklace, frame_assignment
+from pearlmem.assignment import conv_encoder_gates, minimal_memory
+from pearlmem.gf2 import (
     Gf2Circuit,
-    PearlNecklace,
     brute_force_min_memory,
-    conv_encoder_gates,
+    check_window,
     conv_matrix,
     default_margin,
     fitted_margin,
-    frame_assignment,
     interior_equal,
-    minimal_memory,
     pearl_matrix,
-    random_encoder,
 )
+from pearlmem.model import constraint_set
+from pearlmem.selftest import random_encoder
 
 
 def test_pearl_matrix_frame_local_string():

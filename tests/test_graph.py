@@ -18,17 +18,11 @@ from conftest import (
 )
 from hypothesis import given
 
-from pearlmem import (
-    START,
-    PearlNecklace,
-    build_graph,
-    corpus_files,
-    parse,
-    random_encoder,
-    to_dot,
-)
-from pearlmem.graph import write_dot
+from pearlmem import PearlNecklace, build_graph, parse, to_dot
+from pearlmem.corpus import corpus_files
+from pearlmem.graph import START, write_dot
 from pearlmem.model import constraint_set
+from pearlmem.selftest import random_encoder
 
 
 def streamed_dot(enc: PearlNecklace) -> str:

@@ -15,10 +15,10 @@ from pearlmem import (
     analyze,
     build_graph,
     parse,
-    pearl_matrix,
-    run_selftest,
 )
+from pearlmem.gf2 import pearl_matrix
 from pearlmem.model import constraint_set
+from pearlmem.selftest import run_selftest
 
 ST = "source-target"
 TS = "target-source"

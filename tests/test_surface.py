@@ -1,7 +1,11 @@
-"""Tests of the package as a whole: its public names, the names the benchmark
-harness in ``perfbench/`` reads, and checks that survive ``python -O``."""
+"""Tests of the package as a whole: its public names and submodules, the
+names the benchmark harness in ``perfbench/`` reads, and checks that survive
+``python -O``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from conftest import POS_GATES, make_encoder
@@ -18,46 +22,42 @@ PUBLIC_NAMES = [
     "EncoderSyntaxError",
     "FrameAssignment",
     "GateString",
-    "Gf2Circuit",
     "LongestPath",
     "ParseError",
     "PearlNecklace",
-    "START",
-    "SelftestResult",
     "SourceText",
     "analyze",
-    "assignment_from_weights",
-    "brute_force_min_memory",
     "build_graph",
-    "check_instance",
-    "conv_encoder_gates",
-    "conv_matrix",
-    "corpus_files",
     "corpus_path",
-    "default_margin",
-    "degree_notation",
-    "fitted_margin",
     "frame_assignment",
-    "interior_equal",
-    "longest_path_linear",
-    "longest_path_weights",
-    "minimal_memory",
     "parse",
-    "pearl_matrix",
-    "random_encoder",
     "render",
-    "run_selftest",
-    "satisfies_constraints",
     "to_dot",
     "to_json",
     "to_text",
 ]
+SUBMODULES = ["assignment", "corpus", "gf2", "graph", "model", "parser", "report", "selftest"]
 
 
 def test_public_names_are_pinned():
     assert sorted(pearlmem.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(pearlmem, name) is not None, name
+
+
+def test_import_binds_every_submodule():
+    # Other tests import the submodules themselves, so only a fresh
+    # interpreter shows whether `import pearlmem` alone binds them.
+    script = f"import pearlmem; print([m for m in {SUBMODULES!r} if not hasattr(pearlmem, m)])"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"  # the submodules that are not bound
 
 
 def test_names_the_benchmark_reads_exist():
