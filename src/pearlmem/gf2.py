@@ -30,9 +30,23 @@ Both builders can simulate only the columns that a comparison at a given
 margin reads, starting from identity rows masked to those columns.  This is
 exact by linearity: a row XOR acts on each column separately, since
 (x ^ y) & mask == (x & mask) ^ (y & mask), so masking the start masks the
-result.  It does not rely on the encoders being shift-invariant.  Such a
-circuit keeps only the interior rows, with the interior columns shifted down
-to bit 0 (see :class:`Gf2Circuit`).
+result.  Such a circuit keeps only the interior rows, with the interior
+columns shifted down to bit 0 (see :class:`Gf2Circuit`).
+
+Both builders then skip the row XORs that cannot change a kept entry, by
+dataflow alone.  Before simulating, the pearl-necklace builder makes two O(N)
+passes over the strings: a forward pass keeps, per qubit, the interval of
+frames whose rows can be nonzero in the simulated columns, and a backward
+pass the interval of frames whose rows can still be carried into a kept row.
+Each string's slice, and each prefix-XOR chain, is cut to the source frames
+that lie in both.  The convolutional builder skips the block offsets whose
+frames are all still zero or all dropped, and applies the block to a sliding
+window of ``memory + 1`` frames at fixed row indices.  The cut is exact: a
+skipped XOR either reads a row that is zero in every simulated column, so it
+changes nothing, or writes a row that no later XOR carries into a kept row,
+so nothing kept depends on it.  An interval may hold more frames than the
+exact set, which costs work but not exactness.  Neither builder relies on
+the pair rule, the graph, or the encoders being shift-invariant.
 
 Conventions: stream frames are numbered 0..F-1 in pearl-necklace order (frame
 0 first); the global index of qubit q in frame f is f*n + (q-1).  Window
@@ -123,36 +137,72 @@ def _interior(frames: int, frame_width: int, rows: list[int], margin: int) -> Gf
     return Gf2Circuit(frames, frame_width, tuple(rows[lo : len(rows) - lo]), margin)
 
 
+def _live_spans(enc: PearlNecklace, frames: int, margin: int) -> list[tuple[int, int]]:
+    """Per gate string, the first and last source frame whose gate can change
+    an entry that a builder at ``margin`` keeps (first > last when none can).
+
+    A forward pass keeps, per qubit, the frames whose rows can be nonzero in
+    the simulated columns when each string runs; a backward pass keeps the
+    frames whose rows can still be carried into a kept row after it runs.  A
+    span is the string's in-range source frames cut to both.  Each interval
+    is the hull of what it gains, so it only ever holds more frames than the
+    exact sets, never fewer.
+    """
+    last = frames - 1
+    lo, hi = [margin] * enc.frame_width, [last - margin] * enc.frame_width
+    nonzero = []  # the source qubit's nonzero frames before each string
+    for a, b, l in enc.strings:
+        s0, s1 = lo[a - 1], hi[a - 1]
+        nonzero.append((s0, s1))
+        if a == b and l > 0:
+            if s0 + l <= last:
+                hi[a - 1] = last  # the prefix XOR carries it upwards
+            continue
+        s0, s1 = max(s0, -l), min(s1, last - l)
+        if s0 <= s1:
+            lo[b - 1], hi[b - 1] = min(lo[b - 1], s0 + l), max(hi[b - 1], s1 + l)
+    lo, hi = [margin] * enc.frame_width, [last - margin] * enc.frame_width
+    spans = []
+    for (a, b, l), (s0, s1) in zip(reversed(enc.strings), reversed(nonzero)):
+        if a == b and l > 0:
+            s1 = hi[a - 1]  # a chain element feeds every later one
+        else:
+            s0, s1 = max(s0, -l, lo[b - 1] - l), min(s1, last - l, hi[b - 1] - l)
+        spans.append((s0, s1))
+        if s0 <= s1:
+            lo[a - 1], hi[a - 1] = min(lo[a - 1], s0), max(hi[a - 1], s1)
+    spans.reverse()
+    return spans
+
+
 def pearl_matrix(enc: PearlNecklace, frames: int, margin: int = 0) -> Gf2Circuit:
     """Truncate the pearl-necklace encoder to ``frames`` frames.
 
     Gate strings are applied in order; within a string, frames ascend.  Gates
     whose partner frame falls outside [0, frames) are dropped.  Only the
-    columns :func:`interior_equal` reads at ``margin`` are simulated; margin 0
-    gives the full matrix.  Raises ``ValueError`` as :func:`check_window` does
-    for a block window of one frame.
+    columns :func:`interior_equal` reads at ``margin`` are simulated, and only
+    the gates that can change a kept entry; margin 0 gives the full matrix.
+    Raises ``ValueError`` as :func:`check_window` does for a block window of
+    one frame.
     """
     n = enc.frame_width
     check_window(frames, n, 0, margin)
     rows = _interior_identity(frames, n, margin)
-    size = frames * n
-    for a, b, l in enc.strings:
+    for (a, b, l), (first, last) in zip(enc.strings, _live_spans(enc, frames, margin)):
+        if first > last:
+            continue
         if a == b and l > 0:
             # Frame s+l reads frame s after frame s has been written: a
             # prefix XOR along each residue class of frames mod l.
-            step = l * n
-            for r in range(min(l, frames)):
-                chain = slice(r * n + a - 1, size, step)
+            stop = last * n + a
+            for r in range(first, min(first + l, last + 1)):
+                chain = slice(r * n + a - 1, stop, l * n)
                 rows[chain] = accumulate(rows[chain], xor)
             continue
-        # Source frames s with s + l in [0, frames); every source row is read
-        # before its string writes it (a != b, or a == b and l < 0).
-        first = max(0, -l)
-        count = frames - abs(l)
-        if count <= 0:
-            continue
-        src = slice(first * n + a - 1, (first + count) * n, n)
-        dst = slice((first + l) * n + b - 1, (first + l + count) * n, n)
+        # Every source row is read before its string writes it (a != b, or
+        # a == b and l < 0).
+        src = slice(first * n + a - 1, last * n + a, n)
+        dst = slice((first + l) * n + b - 1, (last + l) * n + b, n)
         rows[dst] = map(xor, rows[dst], rows[src])
     return _interior(frames, n, rows, margin)
 
@@ -168,9 +218,10 @@ def conv_matrix(
 
     ``gates`` is the block gate list ``(source, target, sigma, tau)`` with
     window frame indices in [0, memory].  Only the columns
-    :func:`interior_equal` reads at ``margin`` are simulated; margin 0 gives
-    the full matrix.  Raises ``ValueError`` as :func:`check_window` does, and
-    for a gate outside the window.
+    :func:`interior_equal` reads at ``margin`` are simulated, and only the
+    offsets that can change a kept entry; margin 0 gives the full matrix.
+    Raises ``ValueError`` as :func:`check_window` does, and for a gate outside
+    the window.
     """
     n = enc.frame_width
     check_window(frames, n, memory, margin)
@@ -180,9 +231,21 @@ def conv_matrix(
             raise ValueError(f"block gate ({a},{b})({sigma},{tau}) outside window")
         offsets.append(((memory - sigma) * n + a - 1, (memory - tau) * n + b - 1))
     rows = _interior_identity(frames, n, margin)
-    for base in range(0, (frames - memory) * n, n):
+    # The block at offset p touches frames p..p+memory.  Below offset
+    # margin - memory all of them are still zero; from offset frames - margin
+    # on none of them is kept.
+    first = max(0, margin - memory)
+    end = min(frames - memory, frames - margin)
+    # The block's rows lead ``ahead``, so its row indices stay fixed; each
+    # finished frame moves back to ``rows``.
+    ahead = rows[first * n :]
+    del rows[first * n :]
+    for _ in range(first, end):
         for src, dst in offsets:
-            rows[base + dst] ^= rows[base + src]
+            ahead[dst] ^= ahead[src]
+        rows += ahead[:n]
+        del ahead[:n]
+    rows += ahead
     return _interior(frames, n, rows, margin)
 
 

@@ -9,10 +9,11 @@ equality.  The report holds only the analysis; a checking subcommand's
 result reaches the JSON through ``to_json``'s ``verification`` argument.
 
 ``to_json`` writes every field of the report, its three O(N) arrays
-included, from f-string templates: the bytes that ``json.dumps(sort_keys=True,
-indent=2)`` writes for the same dict, at a fraction of the cost, since
-CPython's C encoder does not handle an indent.  Only ``verification`` still
-goes through ``json.dumps``, so ``analyze --json`` does not import ``json``.
+and a check's flat ``verification`` dict included, from f-string templates:
+the bytes that ``json.dumps(sort_keys=True, indent=2)`` writes for the same
+dict, at a fraction of the cost, since CPython's C encoder does not handle an
+indent.  So ``analyze --json``, ``verify --json`` and ``brute-check --json``
+do not import ``json``.
 """
 
 from __future__ import annotations
@@ -71,18 +72,28 @@ def _vertex_label(v: int, gate_count: int) -> str | int:
     return v
 
 
-def _array(items: list[str], indent: str) -> str:
-    """A JSON array of rendered items, laid out as ``json.dumps(indent=2)``
-    lays it out under a key indented by ``indent``."""
+def _array(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """A JSON array of rendered items (an object of rendered members, with
+    ``brackets="{}"``), laid out as ``json.dumps(indent=2)`` lays it out under
+    a key indented by ``indent``."""
     if not items:
-        return "[]"
+        return brackets
     inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def _scalar(value: int | bool | None) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def to_json(report: AnalysisReport, verification: dict | None = None) -> str:
     """Byte-deterministic JSON: sorted keys, fixed indent, no timestamps.
-    A checking subcommand's ``verification`` is written under that key."""
+    A checking subcommand's ``verification``, a flat dict of int, bool or
+    None values, is written under that key."""
     enc = report.encoder
     fa = report.assignment
     search = report.search
@@ -109,10 +120,8 @@ def to_json(report: AnalysisReport, verification: dict | None = None) -> str:
         f'  "memory_qubits": {fa.memory_qubits}'
     )
     if verification is not None:
-        import json  # only a check's result needs it; start-up stays lean
-
-        checked = json.dumps(verification, sort_keys=True, indent=2)
-        out += ',\n  "verification": ' + checked.replace("\n", "\n  ")
+        members = [f'"{k}": {_scalar(v)}' for k, v in sorted(verification.items())]
+        out += f',\n  "verification": {_array(members, "  ", "{}")}'
     return out + "\n}\n"
 
 

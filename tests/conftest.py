@@ -32,6 +32,16 @@ def make_encoder(gates, frame_width=None) -> PearlNecklace:
     return PearlNecklace.from_tuples(gates, frame_width=frame_width)
 
 
+def seeded_gates(rng, n: int, width: int, span: int) -> list[tuple[int, int, int]]:
+    """N uniform gate strings CNOT(a,b)(D^l), |l| <= span, never CNOT(a,a)(1)."""
+    gates = []
+    while len(gates) < n:
+        a, b, l = rng.randint(1, width), rng.randint(1, width), rng.randint(-span, span)
+        if not (a == b and l == 0):
+            gates.append((a, b, l))
+    return gates
+
+
 def gate_triples(max_width: int = 4, degree_range: tuple[int, int] = (-3, 3)):
     return st.tuples(
         st.integers(1, max_width),

@@ -507,5 +507,11 @@ def test_cli_start_up_does_not_import_json():
 
 
 def test_analyze_json_does_not_import_json():
-    # The report is written from templates; only a check's result needs json.
+    # The report is written from templates.
     _assert_cli_leaves_out("json", argv=["analyze", EXAMPLE1, "--json"])
+
+
+@pytest.mark.parametrize("command", ["verify", "brute-check"])
+def test_check_json_does_not_import_json(command):
+    # A check's flat result is written from templates too.
+    _assert_cli_leaves_out("json", argv=[command, EXAMPLE1, "--json"])

@@ -19,6 +19,7 @@ from conftest import (
     is_invertible,
     make_encoder,
     pearl_matrix_per_frame,
+    seeded_gates,
 )
 
 import pearlmem.gf2
@@ -274,6 +275,36 @@ def test_builders_match_per_frame_references():
     assert verdicts[True] > 200 and verdicts[False] > 200
 
 
+@pytest.mark.parametrize("width", [4, 64])
+def test_live_cone_builders_match_per_frame_references_at_scale(width):
+    """At N = 300 the builders skip most of the slice elements at the default
+    margin, yet give the interior block of the per-frame matrices at every
+    margin tried, for the derived block and for a corrupted one."""
+    rng = random.Random(300 + width)
+    enc = make_encoder(seeded_gates(rng, 300, width, 3), width)
+    fa = frame_assignment(enc)
+    block = conv_encoder_gates(enc, fa)
+    wrong = _corrupted(rng, block, fa.memory)
+    margin = default_margin(enc, fa.memory)
+    frames = 3 * margin
+    pearl = pearl_matrix_per_frame(enc, frames)
+    conv = conv_matrix_per_frame(enc, block, fa.memory, frames)
+    wrong_conv = conv_matrix_per_frame(enc, wrong, fa.memory, frames)
+    spans = pearlmem.gf2._live_spans(enc, frames, margin)
+    kept = sum(max(last - first + 1, 0) for first, last in spans)
+    assert kept < 0.8 * sum(frames - abs(l) for _, _, l in enc.strings)
+    for m in (1, margin // 2, margin - 1, margin, (frames - 1) // 2):
+        inner = pearl_matrix(enc, frames, m)
+        inner_conv = conv_matrix(enc, block, fa.memory, frames, m)
+        inner_wrong = conv_matrix(enc, wrong, fa.memory, frames, m)
+        assert inner == interior_block(pearl, m)
+        assert inner_conv == interior_block(conv, m)
+        assert inner_wrong == interior_block(wrong_conv, m)
+        if m == margin:
+            assert interior_equal(inner, inner_conv, m)
+            assert not interior_equal(inner, inner_wrong, m)
+
+
 def test_interior_equal_rejects_mismatched_margins():
     enc = make_encoder(POS_GATES)
     fa = frame_assignment(enc)
@@ -328,13 +359,7 @@ def _gf2_peak_bytes(enc, gates, memory, frames, build_margin, margin):
 def test_interior_columns_halve_the_peak_memory():
     """The benchmark's widest verify (N = 1000, width 64, 174 frames) holds
     under half the bytes when built at the margin it is compared at."""
-    rng = random.Random(1000)
-    gates = []
-    while len(gates) < 1000:
-        a, b, l = rng.randint(1, 64), rng.randint(1, 64), rng.randint(-3, 3)
-        if not (a == b and l == 0):
-            gates.append((a, b, l))
-    enc = make_encoder(gates, 64)
+    enc = make_encoder(seeded_gates(random.Random(1000), 1000, 64, 3), 64)
     fa = frame_assignment(enc)
     block = conv_encoder_gates(enc, fa)
     margin = fitted_margin(enc, fa.memory, 174)

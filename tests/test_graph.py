@@ -15,6 +15,7 @@ from conftest import (
     encoders,
     gate_edges,
     make_encoder,
+    seeded_gates,
 )
 from hypothesis import given
 
@@ -137,20 +138,11 @@ def test_graph_matches_the_pairwise_reference_on_seeded_encoders():
     assert parallel_pairs > 10_000, parallel_pairs
 
 
-def _seeded_gates(rng, n, width, span):
-    gates = []
-    while len(gates) < n:
-        a, b, l = rng.randint(1, width), rng.randint(1, width), rng.randint(-span, span)
-        if not (a == b and l == 0):
-            gates.append((a, b, l))
-    return gates
-
-
 def test_streamed_dot_matches_the_pairwise_reference_at_scale():
     encoders = [parse(path.read_text(encoding="utf-8")) for path in corpus_files()]
     rng = random.Random(4104)
     encoders += [
-        make_encoder(_seeded_gates(rng, n, width, 3), frame_width=width)
+        make_encoder(seeded_gates(rng, n, width, 3), frame_width=width)
         for n in (300, 1000)
         for width in (4, 64)
     ]
@@ -161,7 +153,7 @@ def test_streamed_dot_matches_the_pairwise_reference_at_scale():
 def test_streamed_dot_matches_the_pairwise_reference_on_edge_cases():
     rng = random.Random(9)
     encoders = [
-        make_encoder(_seeded_gates(rng, rng.randint(0, 30), rng.randint(1, 5), 9))
+        make_encoder(seeded_gates(rng, rng.randint(0, 30), rng.randint(1, 5), 9))
         for _ in range(300)
     ]
     # Chains CNOT(a,a)(D^l): every pair collides both ways.
