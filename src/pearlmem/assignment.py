@@ -247,12 +247,6 @@ def frame_assignment(enc: PearlNecklace) -> FrameAssignment:
     return assignment_from_weights(enc, longest_path_linear(enc))
 
 
-def minimal_memory(enc: PearlNecklace) -> int:
-    """Minimal memory in frames of any convolutional realization, certified
-    by the frame assignment that reaches it."""
-    return frame_assignment(enc).memory
-
-
 def satisfies_constraints(enc: PearlNecklace, fa: FrameAssignment) -> bool:
     """Check every pair constraint of ``constraint_set(enc)`` in one pass.
 

@@ -8,6 +8,10 @@ derived from a frame assignment, compares them away from the truncation
 boundary, and brute-forces the minimal memory on small instances.  None of it
 reuses the graph construction, so agreement is evidence of correctness.
 
+The brute force gives each gate string one offset, bounded from below by
+every pair constraint, so given the earlier strings a string fits for exactly
+one interval of offsets, which the search walks (:func:`brute_force_min_memory`).
+
 ``verify``, ``brute-check`` and ``selftest`` share :func:`realization_check`
 and :func:`brute_check`, the one home of each check's defaults and refusals.
 
@@ -56,18 +60,19 @@ to global frame p + (L - w) for block application p.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import accumulate
 from operator import xor
 from typing import Iterable, NamedTuple, Sequence
 
 from .assignment import FrameAssignment, conv_encoder_gates
-from .model import PearlNecklace, constraint_set
+from .model import PearlNecklace
 
 # Largest frames * frame_width simulated: a matrix holds up to that many bits
 # squared, 128 MiB at the limit.  The benchmark's widest window is 174 x 64.
 MAX_QUBITS = 1 << 15
-# Most gate strings brute-forced: N = 18 takes about 0.6 s, and N = 22 does not
-# finish within a minute.
+# Most gate strings brute-forced.  Eight seeded N = 18, width-3 encoders took
+# 0.1-28 s each, two of them over 40 s (Python 3.11, 2 shared vCPUs).
 MAX_BRUTE_STRINGS = 18
 
 
@@ -304,15 +309,20 @@ def realization_check(
 
 
 def brute_force_min_memory(enc: PearlNecklace, bound: int) -> int | None:
-    """Minimal memory by exhaustive search over per-gate base offsets.
+    """Minimal memory by exhaustive search over per-gate base offsets, or None
+    when no assignment within ``bound`` keeps every pair constraint.
 
-    Each gate gets one offset w in [0, bound] (sigma and tau follow from the
-    sign rule, so one offset per gate covers all candidates).  An assignment
-    is feasible when every pair constraint holds; the result is the minimum
-    over feasible assignments of max(sigma, tau), or None when no feasible
-    assignment exists within the bound.  Independent of the graph search;
-    raises ``ValueError`` before searching when N exceeds
-    :data:`MAX_BRUTE_STRINGS`.
+    String k, CNOT(a,b)(D^l), gets an offset w in [0, bound] and sits at
+    sigma = w + p, tau = w + q, with p = max(l, 0) and q = max(-l, 0).  Its
+    constraints bound w from below: sigma_i <= tau_k for each earlier string
+    i whose source is b, tau_i <= sigma_k for each whose target is a.  So,
+    given the earlier strings, k fits for exactly the w in [lo, bound], with
+    lo = max(0, max sigma_i - q, max tau_i - p), and the search walks that
+    interval.  Its first leaf puts every string at its lo, the linear core's
+    assignment; the rest of the search proves that nothing smaller fits.
+    Independent of the graph search; raises ``ValueError`` for a negative
+    bound or more than :data:`MAX_BRUTE_STRINGS` strings before any
+    per-string work.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
@@ -322,14 +332,14 @@ def brute_force_min_memory(enc: PearlNecklace, bound: int) -> int | None:
             f"brute force over {n} gate strings exceeds the limit of "
             f"{MAX_BRUTE_STRINGS}"
         )
-    degrees = [g.degree for g in enc.strings]
-    # Per gate k, the earlier strings i with sigma_i <= tau_k (source-target)
-    # and those with tau_i <= sigma_k (target-source).
-    st_earlier: list[list[int]] = [[] for _ in range(n)]
-    ts_earlier: list[list[int]] = [[] for _ in range(n)]
-    for earlier, later, kind in constraint_set(enc):
-        lists = st_earlier if kind == "source-target" else ts_earlier
-        lists[later - 1].append(earlier - 1)
+    # Per string: p, q and the earlier strings whose source is its target and
+    # whose target is its source, read off per-qubit lists.
+    gates = []
+    by_source, by_target = defaultdict(list), defaultdict(list)  # by qubit
+    for k, (a, b, l) in enumerate(enc.strings):
+        gates.append((max(l, 0), max(-l, 0), by_source[b][:], by_target[a][:]))
+        by_source[a].append(k)
+        by_target[b].append(k)
 
     sigmas = [0] * n
     taus = [0] * n
@@ -340,26 +350,20 @@ def brute_force_min_memory(enc: PearlNecklace, bound: int) -> int | None:
         if k == n:
             best = cur_max
             return
-        l = degrees[k]
-        st, ts = st_earlier[k], ts_earlier[k]
-        for w in range(bound + 1):
-            if l >= 0:
-                tau, sigma = w, w + l
-            else:
-                sigma, tau = w, w - l
-            new_max = max(cur_max, sigma, tau)
+        p, q, st, ts = gates[k]
+        lo = 0  # plain loops: these lists are short, and max() costs more
+        for i in st:
+            if sigmas[i] - q > lo:
+                lo = sigmas[i] - q
+        for i in ts:
+            if taus[i] - p > lo:
+                lo = taus[i] - p
+        for w in range(lo, bound + 1):
+            new_max = max(cur_max, w + p + q)  # p or q is 0
             if best is not None and new_max >= best:
                 break  # sigma and tau grow with w, so all larger w prune too
-            for i in st:
-                if sigmas[i] > tau:
-                    break
-            else:
-                for i in ts:
-                    if taus[i] > sigma:
-                        break
-                else:
-                    sigmas[k], taus[k] = sigma, tau
-                    extend(k + 1, new_max)
+            sigmas[k], taus[k] = w + p, w + q
+            extend(k + 1, new_max)
 
     extend(0, 0)
     return best

@@ -1,5 +1,6 @@
 """Shared fixtures, hypothesis strategies, and the reference graph builders,
-GF(2) builders, parser and JSON writer for the test suite."""
+GF(2) builders, brute-force search, parser and JSON writer for the test
+suite."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from pearlmem import (
 )
 from pearlmem.gf2 import Gf2Circuit
 from pearlmem.graph import START
+from pearlmem.model import constraint_set
 from pearlmem.parser import RESERVED_GATES
 
 # The three bundled five-string encoders plus the commuting pair, as triples.
@@ -196,6 +198,54 @@ def gf2_rank(rows) -> int:
 
 def is_invertible(circuit: Gf2Circuit) -> bool:
     return gf2_rank(circuit.rows) == circuit.frames * circuit.frame_width
+
+
+def brute_force_reference(enc: PearlNecklace, bound: int) -> int | None:
+    """Reference for ``gf2.brute_force_min_memory``: the same depth-first
+    search over per-gate offsets w in [0, bound], testing each w against the
+    gate's pairs from ``constraint_set``, the specification of the pair rule."""
+    n = len(enc.strings)
+    degrees = [g.degree for g in enc.strings]
+    # Per gate k, the earlier strings i with sigma_i <= tau_k (source-target)
+    # and those with tau_i <= sigma_k (target-source).
+    st_earlier: list[list[int]] = [[] for _ in range(n)]
+    ts_earlier: list[list[int]] = [[] for _ in range(n)]
+    for earlier, later, kind in constraint_set(enc):
+        lists = st_earlier if kind == "source-target" else ts_earlier
+        lists[later - 1].append(earlier - 1)
+
+    sigmas = [0] * n
+    taus = [0] * n
+    best: int | None = None
+
+    def extend(k: int, cur_max: int) -> None:
+        nonlocal best
+        if k == n:
+            best = cur_max
+            return
+        l = degrees[k]
+        st, ts = st_earlier[k], ts_earlier[k]
+        for w in range(bound + 1):
+            if l >= 0:
+                tau, sigma = w, w + l
+            else:
+                sigma, tau = w, w - l
+            new_max = max(cur_max, sigma, tau)
+            if best is not None and new_max >= best:
+                break  # sigma and tau grow with w, so all larger w prune too
+            for i in st:
+                if sigmas[i] > tau:
+                    break
+            else:
+                for i in ts:
+                    if taus[i] > sigma:
+                        break
+                else:
+                    sigmas[k], taus[k] = sigma, tau
+                    extend(k + 1, new_max)
+
+    extend(0, 0)
+    return best
 
 
 # Dense GF(2) reference: a circuit as a list of 0/1 rows, one CNOT as one

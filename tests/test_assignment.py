@@ -36,7 +36,6 @@ from pearlmem.assignment import (
     conv_encoder_gates,
     longest_path_linear,
     longest_path_weights,
-    minimal_memory,
     satisfies_constraints,
 )
 from pearlmem.graph import START
@@ -82,9 +81,9 @@ def test_single_string_weights():
 
 
 def test_minimal_memory_examples():
-    assert minimal_memory(make_encoder(POS_GATES)) == 3
-    assert minimal_memory(make_encoder(NEG_GATES)) == 3
-    assert minimal_memory(make_encoder(COMMUTING_GATES)) == 1
+    assert frame_assignment(make_encoder(POS_GATES)).memory == 3
+    assert frame_assignment(make_encoder(NEG_GATES)).memory == 3
+    assert frame_assignment(make_encoder(COMMUTING_GATES)).memory == 1
 
 
 def test_minimal_memory_is_certified_by_an_assignment(monkeypatch):
@@ -96,7 +95,7 @@ def test_minimal_memory_is_certified_by_an_assignment(monkeypatch):
 
     monkeypatch.setattr(pearlmem.assignment, "longest_path_linear", overstated)
     with pytest.raises(ValueError):
-        minimal_memory(make_encoder(POS_GATES))
+        frame_assignment(make_encoder(POS_GATES))
 
 
 def test_unidirectional_assignment():
@@ -182,7 +181,7 @@ def test_appending_a_string_never_decreases_memory(enc, extra):
     width = max(enc.frame_width, g.source, g.target)
     grown = PearlNecklace(enc.strings + (g,), width)
     base = PearlNecklace(enc.strings, width)
-    assert minimal_memory(grown) >= minimal_memory(base)
+    assert frame_assignment(grown).memory >= frame_assignment(base).memory
 
 
 @given(encoders())

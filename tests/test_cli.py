@@ -172,6 +172,33 @@ def test_analysis_subcommands_never_build_the_graph(monkeypatch, tmp_path, capsy
         assert main(argv) == 0, argv
 
 
+def test_no_subcommand_lists_the_constraint_pairs(monkeypatch):
+    # constraint_set is the all-pairs specification the tests check against;
+    # brute force reads each gate's colliding strings off per-qubit lists.
+    def refuse(enc):
+        raise AssertionError("constraint_set called")
+
+    monkeypatch.setattr(pearlmem.model, "constraint_set", refuse)
+    binders = [
+        name
+        for name, module in sys.modules.items()
+        if name.startswith("pearlmem.") and name != "pearlmem.model"
+        and hasattr(module, "constraint_set")
+    ]
+    assert not binders and not hasattr(pearlmem, "constraint_set"), binders
+    for name in CORPUS:
+        path = str(corpus_path(f"{name}.pne"))
+        for argv in (
+            ["analyze", path],
+            ["dot", path],
+            ["verify", path],
+            ["brute-check", path],
+            ["brute-check", "--json", path],
+        ):
+            assert main(argv) == 0, argv
+    assert main(["selftest", "--count", "50"]) == 0
+
+
 def test_dot_refuses_a_graph_over_budget(monkeypatch, tmp_path, capsys):
     # Mirrors test_verify_refuses_before_simulating: example1 has 16 edges,
     # and the refusal comes before any byte of the report or the graph.

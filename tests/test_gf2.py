@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from conftest import (
@@ -9,6 +10,7 @@ from conftest import (
     MIX_GATES,
     NEG_GATES,
     POS_GATES,
+    brute_force_reference,
     conv_matrix_per_frame,
     dense_conv_matrix,
     dense_pearl_matrix,
@@ -23,8 +25,8 @@ from conftest import (
 )
 
 import pearlmem.gf2
-from pearlmem import PearlNecklace, frame_assignment
-from pearlmem.assignment import conv_encoder_gates, minimal_memory
+from pearlmem import PearlNecklace, frame_assignment, render
+from pearlmem.assignment import conv_encoder_gates
 from pearlmem.gf2 import (
     Gf2Circuit,
     brute_force_min_memory,
@@ -411,22 +413,51 @@ def test_brute_force_size_is_budgeted(monkeypatch):
         brute_force_min_memory(make_encoder(POS_GATES + [(1, 2, 0)]), bound=4)
 
 
-def test_brute_force_refuses_before_the_pair_scan(monkeypatch):
-    def scan(enc):
-        raise AssertionError("constraint_set ran on an encoder over budget")
+def test_brute_force_refuses_before_any_per_string_work():
+    class Unreadable:
+        """19 gate strings, none of which may be read."""
 
-    monkeypatch.setattr(pearlmem.gf2, "constraint_set", scan)
-    chain = make_encoder([(1, 2, 1)] * 19)
+        def __len__(self):
+            return 19
+
+        def __iter__(self):
+            raise AssertionError("a gate string was read before the refusal")
+
+        __getitem__ = __iter__
+
+    enc = SimpleNamespace(strings=Unreadable())
+    with pytest.raises(ValueError, match="bound must be >= 0, got -1"):
+        brute_force_min_memory(enc, bound=-1)
     with pytest.raises(ValueError, match="19 gate strings exceeds the limit of 18"):
-        brute_force_min_memory(chain, bound=0)
+        brute_force_min_memory(enc, bound=0)
 
 
 def test_brute_force_matches_graph_on_random_instances():
     rng = random.Random(404)
     for _ in range(150):
         enc = random_encoder(rng)
-        memory = minimal_memory(enc)
+        memory = frame_assignment(enc).memory
         assert brute_force_min_memory(enc, bound=memory + 1) == memory
+
+
+def test_brute_force_matches_the_pairwise_reference():
+    # The interval search against a per-offset scan of constraint_set's pairs,
+    # at bounds 0, m - 1, m and m + 1 for memory m.  They cover None results,
+    # and "tight" encoders, where memory m needs some offset of exactly m.
+    rng = random.Random(1717)
+    seen = {"repeated": 0, "CNOT(a,a)": 0, "None": 0, "tight": 0}
+    for _ in range(1000):
+        enc = random_encoder(rng, max_strings=8)
+        memory = frame_assignment(enc).memory
+        seen["repeated"] += len(set(enc.strings)) < len(enc.strings)
+        seen["CNOT(a,a)"] += any(g.source == g.target for g in enc.strings)
+        results = {}
+        for bound in sorted({0, max(memory - 1, 0), memory, memory + 1}):
+            results[bound] = brute_force_reference(enc, bound)
+            assert brute_force_min_memory(enc, bound) == results[bound], (render(enc), bound)
+        seen["None"] += None in results.values()
+        seen["tight"] += memory > 0 and results[memory - 1] is None
+    assert min(seen.values()) >= 40, seen
 
 
 def test_commutation_ground_truth():
