@@ -8,9 +8,10 @@ Every analysis runs the linear core.  ``dot`` and ``analyze --dot`` share one
 writer: it takes the edge count from the core, refuses a graph over
 ``graph.MAX_DOT_EDGES`` before writing anything, and streams the DOT text
 string by string without building the graph.  ``verify`` and ``brute-check``
-run a ``gf2`` check, defaults and refusals included, and share one ending:
-the JSON report with the check's result under ``verification`` or a one-line
-result, then on a mismatch one ``file: complaint`` line on stderr and exit 2.
+run a ``gf2`` check, which works out its own margin or bound and makes its
+own refusals, and share one ending: the JSON report with the check's result
+under ``verification`` or a one-line result, then on a mismatch one
+``file: complaint`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     enc = _load_encoder(args.file)
     report = analyze(enc)
-    result = realization_check(enc, report.assignment, args.frames, args.margin)
+    result = realization_check(enc, report.assignment, args.frames)
     equal = result["interior_equal"]
     return _check_result(
         args,
@@ -111,7 +112,7 @@ def _cmd_brute_check(args: argparse.Namespace) -> int:
     enc = _load_encoder(args.file)
     report = analyze(enc)
     memory = report.assignment.memory
-    result = brute_check(enc, memory, args.bound)
+    result = brute_check(enc, memory)
     brute, ok = result["brute_force_frames"], result["match"]
     brute_text = f"exceeds-bound({result['bound']})" if brute is None else str(brute)
     return _check_result(
@@ -177,15 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file", help="encoder source file")
     p.add_argument("--frames", type=int, help="truncation window (default: 3 x default margin)")
-    p.add_argument(
-        "--margin",
-        type=int,
-        default=None,
-        help=(
-            "boundary frames to ignore (default: memory + max|l| + 1, capped "
-            "so an interior remains)"
-        ),
-    )
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.set_defaults(func=_cmd_verify)
 
@@ -193,12 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "brute-check", help="compare against brute-force minimal memory"
     )
     p.add_argument("file", help="encoder source file")
-    p.add_argument(
-        "--bound",
-        type=int,
-        default=None,
-        help="max per-gate frame offset to enumerate (default: memory + 1)",
-    )
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.set_defaults(func=_cmd_brute_check)
 

@@ -13,7 +13,9 @@ every pair constraint, so given the earlier strings a string fits for exactly
 one interval of offsets, which the search walks (:func:`brute_force_min_memory`).
 
 ``verify``, ``brute-check`` and ``selftest`` share :func:`realization_check`
-and :func:`brute_check`, the one home of each check's defaults and refusals.
+and :func:`brute_check`, the one home of each check's refusals and of the
+strength it works out for itself: the margin and the brute-force bound are
+not parameters.
 
 A matrix is held as its rows, each a Python int used as a bitmask: bit c of
 row r is entry (r, c).  A CNOT from global qubit s to t XORs row s into row t.
@@ -262,9 +264,11 @@ def default_margin(enc: PearlNecklace, memory: int) -> int:
 def fitted_margin(enc: PearlNecklace, memory: int, frames: int) -> int:
     """:func:`default_margin` capped to leave a nonempty interior in ``frames``.
 
-    The cap only ever shrinks the ignored boundary, so a TRUE comparison stays
-    meaningful; if the capped margin is too small to hide boundary effects the
-    comparison simply comes out FALSE.
+    A TRUE comparison in a short window is weak, capped or not.  On
+    ``example1.pne`` with gate string 1 raised one frame (sigma 2, tau 1,
+    memory 3), which breaks a pair constraint, windows of 5 to 14 frames read
+    TRUE (margins 2 to 6, interiors of 1 or 2 frames) and windows of 15 frames
+    or more read FALSE, the default window of 18 included.
     """
     return min(default_margin(enc, memory), max((frames - 1) // 2, 0))
 
@@ -291,16 +295,15 @@ def interior_equal(a: Gf2Circuit, b: Gf2Circuit, margin: int) -> bool:
 
 
 def realization_check(
-    enc: PearlNecklace, fa: FrameAssignment, frames: int | None = None, margin: int | None = None
+    enc: PearlNecklace, fa: FrameAssignment, frames: int | None = None
 ) -> dict:
     """Compare the pearl-necklace encoder with the convolutional encoder of
     ``fa`` over ``frames`` frames (default 3 * :func:`default_margin`), away
-    from ``margin`` boundary frames on each side (default :func:`fitted_margin`),
-    refusing as :func:`check_window` does before either simulation starts."""
+    from :func:`fitted_margin` boundary frames on each side, refusing as
+    :func:`check_window` does before either simulation starts."""
     if frames is None:
         frames = 3 * default_margin(enc, fa.memory)
-    if margin is None:
-        margin = fitted_margin(enc, fa.memory, frames)
+    margin = fitted_margin(enc, fa.memory, frames)
     check_window(frames, enc.frame_width, fa.memory, margin)
     pearl = pearl_matrix(enc, frames, margin)
     conv = conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames, margin)
@@ -369,11 +372,10 @@ def brute_force_min_memory(enc: PearlNecklace, bound: int) -> int | None:
     return best
 
 
-def brute_check(enc: PearlNecklace, memory: int, bound: int | None = None) -> dict:
-    """Check ``memory`` against brute force over offsets up to ``bound`` (default
-    memory + 1); finding nothing within the bound matches iff memory > bound."""
-    if bound is None:
-        bound = memory + 1
+def brute_check(enc: PearlNecklace, memory: int) -> dict:
+    """Check ``memory`` against brute force over offsets up to memory + 1.
+    Every assignment of memory at most ``memory`` lies within that bound, so
+    the check matches only when brute force finds exactly ``memory``."""
+    bound = memory + 1
     brute = brute_force_min_memory(enc, bound)
-    match = brute == memory or (brute is None and memory > bound)
-    return {"bound": bound, "brute_force_frames": brute, "match": match}
+    return {"bound": bound, "brute_force_frames": brute, "match": brute == memory}

@@ -14,11 +14,10 @@ The package's records are immutable values.  Most are ``typing.NamedTuple``
 classes, so they unpack, compare equal to plain tuples of the same fields and
 copy with ``_replace``; those that validate their fields (``GateString``,
 ``gf2.Gf2Circuit``) do so in ``__new__``, which ``_replace`` also goes
-through.  ``PearlNecklace``, whose length is its number of gate strings,
-and ``report.AnalysisReport``, which caches its graph outside its
-equality, are small slotted classes on ``_Record`` instead.  No record is a
-dataclass: generating their code would cost more than the rest of the
-package's import.
+through.  ``PearlNecklace`` and ``report.AnalysisReport``, which caches its
+graph outside its equality, are small slotted classes on ``_Record``
+instead.  No record is a dataclass: generating their code would cost more
+than the rest of the package's import.
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ class PearlNecklace(_Record):
     """An ordered succession of gate strings over frames of ``frame_width`` qubits.
 
     When ``frame_width`` is omitted it defaults to the largest qubit index
-    used (at least 1).  Not a tuple: its length is the number of gate strings.
+    used (at least 1).
     """
 
     __slots__ = _fields = ("strings", "frame_width")
@@ -133,9 +132,6 @@ class PearlNecklace(_Record):
     ) -> "PearlNecklace":
         """Build from ``(source, target, degree)`` triples."""
         return cls((GateString(a, b, l) for a, b, l in gates), frame_width)
-
-    def __len__(self) -> int:
-        return len(self.strings)
 
 
 def constraint_set(enc: PearlNecklace) -> list[tuple[int, int, str]]:

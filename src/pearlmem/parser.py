@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .model import GateString, PearlNecklace, degree_notation
+from .model import GateString, PearlNecklace
 
 RESERVED_GATES = frozenset({"H", "P", "CPHASE"})
 
@@ -279,5 +279,5 @@ def render(enc: PearlNecklace) -> str:
     """Source text for an encoder; ``parse(render(enc)) == enc``."""
     lines = [f"qubits {enc.frame_width}"]
     for g in enc.strings:
-        lines.append(f"CNOT({g.source},{g.target})({degree_notation(g.degree)})")
+        lines.append(g.notation())
     return "\n".join(lines)

@@ -4,6 +4,7 @@ import collections
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -237,14 +238,15 @@ def test_verify_json_payload(capsys):
     assert data["verification"]["frames"] == 12
 
 
-def test_verify_detects_boundary_mismatch_with_zero_margin(capsys):
+def test_verify_detects_boundary_mismatch_with_zero_margin(monkeypatch, capsys):
     # Margin 0 keeps the truncation boundary in view, where the two
     # realizations legitimately differ; the mismatch must be loud.
+    monkeypatch.setattr(pearlmem.gf2, "fitted_margin", lambda enc, memory, frames: 0)
     complaint = (
         f"{COMMUTING}: convolutional realization does not match the "
         "pearl-necklace encoder on the GF(2) interior\n"
     )
-    argv = ["verify", COMMUTING, "--frames", "4", "--margin", "0"]
+    argv = ["verify", COMMUTING, "--frames", "4"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "interior_equal=FALSE (frames=4, margin=0, memory=1)\n"
@@ -296,21 +298,16 @@ def test_verify_refuses_before_simulating(monkeypatch, capsys):
 
     monkeypatch.setattr(pearlmem.gf2, "pearl_matrix", refuse)
     monkeypatch.setattr(pearlmem.gf2, "conv_matrix", refuse)
-    # example1 has memory 3 and frame width 3.  Each refusal wins over the
-    # ones after it: no frames, the qubit budget, the window, the margin.
+    # example1 has memory 3 and frame width 3: no frames, the qubit budget
+    # and the block window are each refused.
     cases = [
-        (["--frames", "0", "--margin", "9"], "frames must be >= 1, got 0"),
+        (["--frames", "0"], "frames must be >= 1, got 0"),
         (
-            ["--frames", "20000", "--margin", "20000"],
+            ["--frames", "20000", "--json"],
             "GF(2) simulation of 20000 frames x 3 qubits = 60000 qubits "
             "exceeds the limit of 32768",
         ),
-        (["--frames", "3", "--margin", "2"], "window of 4 frames does not fit in 3 frames"),
-        (["--frames", "12", "--margin", "6"], "margin 6 leaves no interior in 12 frames"),
-        (
-            ["--frames", "12", "--margin", "-1", "--json"],
-            "margin -1 leaves no interior in 12 frames",
-        ),
+        (["--frames", "3"], "window of 4 frames does not fit in 3 frames"),
     ]
     for options, message in cases:
         assert main(["verify", EXAMPLE1, *options]) == 1, options
@@ -331,19 +328,13 @@ def test_brute_check_refuses_an_encoder_over_budget(tmp_path, capsys):
 
 
 def test_brute_check_ok_line(capsys):
-    assert main(["brute-check", EXAMPLE3, "--bound", "4"]) == 0
+    assert main(["brute-check", EXAMPLE3]) == 0
     assert capsys.readouterr().out == "graph=3 brute=3 OK\n"
 
 
 def test_brute_check_default_bound(capsys):
     assert main(["brute-check", EXAMPLE1]) == 0
     assert capsys.readouterr().out == "graph=3 brute=3 OK\n"
-
-
-def test_brute_check_small_bound_is_consistent(capsys):
-    # Nothing is feasible within bound 1, which agrees with memory 3 > 1.
-    assert main(["brute-check", EXAMPLE1, "--bound", "1"]) == 0
-    assert capsys.readouterr().out == "graph=3 brute=exceeds-bound(1) OK\n"
 
 
 def test_brute_check_detects_a_mismatch(monkeypatch, capsys):
@@ -367,6 +358,31 @@ def test_brute_check_detects_a_mismatch(monkeypatch, capsys):
     )
     assert captured.out != golden
     assert captured.err == complaint
+
+
+def test_brute_check_finding_nothing_is_a_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(pearlmem.gf2, "brute_force_min_memory", lambda enc, bound: None)
+    assert main(["brute-check", EXAMPLE1]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "graph=3 brute=exceeds-bound(4) MISMATCH\n"
+    assert captured.err == (
+        f"{EXAMPLE1}: brute-force memory disagrees with the graph analysis\n"
+    )
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # Each `pearlmem ...` line of README's "Command line" block, on the
+    # corpus files it names, in a scratch working directory for its outputs.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) >= 7 and all(c[0] == "pearlmem" for c in commands), block
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        argv = [str(corpus_path(a)) if a.endswith(".pne") else a for a in command[1:]]
+        assert main(argv) == 0, command
+    assert (tmp_path / "g.dot").read_text().startswith("digraph commutativity {")
+    capsys.readouterr()
 
 
 def test_selftest_runs_clean(capsys):
@@ -461,7 +477,15 @@ def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "args", [["analyze"], ["bogus"], [], ["verify", EXAMPLE1, "--frames", "abc"]]
+    "args",
+    [
+        ["analyze"],
+        ["bogus"],
+        [],
+        ["verify", EXAMPLE1, "--frames", "abc"],
+        ["verify", EXAMPLE1, "--margin", "0"],
+        ["brute-check", EXAMPLE1, "--bound", "4"],
+    ],
 )
 def test_usage_errors(args, capsys):
     # Exit code 2 is reserved for a correctness mismatch.

@@ -26,9 +26,10 @@ from conftest import (
 
 import pearlmem.gf2
 from pearlmem import PearlNecklace, frame_assignment, render
-from pearlmem.assignment import conv_encoder_gates
+from pearlmem.assignment import conv_encoder_gates, satisfies_constraints
 from pearlmem.gf2 import (
     Gf2Circuit,
+    brute_check,
     brute_force_min_memory,
     check_window,
     conv_matrix,
@@ -36,6 +37,7 @@ from pearlmem.gf2 import (
     fitted_margin,
     interior_equal,
     pearl_matrix,
+    realization_check,
 )
 from pearlmem.model import constraint_set
 from pearlmem.selftest import random_encoder
@@ -151,6 +153,71 @@ def test_random_encoders_are_stream_equivalent():
         pearl = pearl_matrix(enc, frames)
         conv = conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames)
         assert interior_equal(pearl, conv, margin)
+
+
+def _shifted(enc, fa, k, step):
+    """``fa`` with gate string k moved ``step`` frames, its memory recomputed,
+    or None when that moves it below frame 0."""
+    sigma, tau = list(fa.sigma), list(fa.tau)
+    sigma[k] += step
+    tau[k] += step
+    if min(sigma[k], tau[k]) < 0:
+        return None
+    memory = max(sigma + tau)
+    return fa._replace(
+        sigma=tuple(sigma),
+        tau=tuple(tau),
+        memory=memory,
+        memory_qubits=memory * enc.frame_width,
+    )
+
+
+def test_default_verdicts_hold_in_a_window_twice_as_long():
+    """``realization_check`` works out its own margin and window, so the
+    defaults must be as strong as a longer window.  Every gate of the linear
+    core's assignment is moved one frame up and down; the verdict at the
+    defaults equals the verdict in twice the window at the same margin, an
+    assignment that keeps every pair constraint reads TRUE, and nearly every
+    one that breaks a constraint reads FALSE."""
+    rng = random.Random(11)
+    shifts, broken, broken_false = 0, 0, 0
+    for _ in range(300):
+        enc = random_encoder(rng)
+        fa = frame_assignment(enc)
+        for k in range(len(enc.strings)):
+            for step in (1, -1):
+                moved = _shifted(enc, fa, k, step)
+                if moved is None:
+                    continue
+                result = realization_check(enc, moved)
+                longer = realization_check(enc, moved, 2 * result["frames"])
+                assert longer["margin"] == result["margin"]
+                assert longer["interior_equal"] == result["interior_equal"], render(enc)
+                shifts += 1
+                if satisfies_constraints(enc, moved):
+                    assert result["interior_equal"], render(enc)
+                else:
+                    broken += 1
+                    broken_false += not result["interior_equal"]
+    assert (shifts, broken, broken_false) == (1332, 849, 812)
+
+    # example1 with gate 1 raised one frame (sigma 2, tau 1, memory still
+    # 3) breaks a pair constraint; the default window of 18 frames sees it.
+    enc = make_encoder(POS_GATES)
+    moved = _shifted(enc, frame_assignment(enc), 0, 1)
+    assert (moved.sigma[0], moved.tau[0], moved.memory) == (2, 1, 3)
+    assert not satisfies_constraints(enc, moved)
+    result = realization_check(enc, moved)
+    assert result == {"frames": 18, "interior_equal": False, "margin": 6}
+
+
+def test_brute_check_matches_only_the_exact_memory():
+    # The bound is memory + 1, so a wrong memory, or nothing found within
+    # the bound, is a mismatch.
+    enc = make_encoder(POS_GATES)
+    assert brute_check(enc, 3) == {"bound": 4, "brute_force_frames": 3, "match": True}
+    assert brute_check(enc, 4) == {"bound": 5, "brute_force_frames": 3, "match": False}
+    assert brute_check(enc, 0) == {"bound": 1, "brute_force_frames": None, "match": False}
 
 
 def test_matrices_are_invertible():
