@@ -3,7 +3,8 @@
 Subcommands: analyze | dot | verify | brute-check | selftest.  Exit status is
 0 on success, 1 on parse or semantic errors (a file that is not UTF-8
 included), usage errors, other input problems or running out of memory, and
-2 only when verify, brute-check or selftest detects a correctness mismatch.
+2 only when verify, brute-check or selftest detects a correctness mismatch; a
+reader of stdout that leaves early, as ``head`` does, changes none of that.
 Every analysis runs the linear core.  ``dot`` and ``analyze --dot`` share one
 writer: it takes the edge count from the core, refuses a graph over
 ``graph.MAX_DOT_EDGES`` before writing anything, and streams the DOT text
@@ -17,6 +18,7 @@ under ``verification`` or a one-line result, then on a mismatch one
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -66,10 +68,10 @@ def _check_result(
 ) -> int:
     """Write the JSON report or the one-line result; a mismatch also prints
     ``file: complaint`` on stderr and exits 2."""
-    if args.json:
-        sys.stdout.write(to_json(report, verification))
-    else:
-        print(line)
+    try:
+        sys.stdout.write(to_json(report, verification) if args.json else line + "\n")
+    except BrokenPipeError:  # the reader has gone (see main); the status stands
+        pass
     if ok:
         return 0
     print(f"{args.file}: {complaint}", file=sys.stderr)
@@ -126,22 +128,21 @@ def _cmd_brute_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    result = run_selftest(seed=args.seed, count=args.count)
+    failures = run_selftest(seed=args.seed, count=args.count)
     if args.json:
         import json  # only JSON output needs it; start-up stays lean
 
-        payload = {
-            "count": result.count,
-            "failures": list(result.failures),
-            "seed": result.seed,
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        payload = {"count": args.count, "failures": list(failures), "seed": args.seed}
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        status = "OK" if result.ok else f"{len(result.failures)} FAILED"
-        print(f"selftest seed={result.seed} count={result.count}: {status}")
-        for failure in result.failures:
-            print(f"  {failure}")
-    return 0 if result.ok else 2
+        status = f"{len(failures)} FAILED" if failures else "OK"
+        text = f"selftest seed={args.seed} count={args.count}: {status}\n"
+        text += "".join(f"  {failure}\n" for failure in failures)
+    try:
+        sys.stdout.write(text)
+    except BrokenPipeError:  # the reader has gone (see main); the status stands
+        pass
+    return 2 if failures else 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -198,8 +199,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    status = 0
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that has gone is seen here, not at exit
+    except BrokenPipeError:
+        # No error: point fd 1 at os.devnull, so that the flush at exit succeeds.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except ParseError as err:
         print(str(err), file=sys.stderr)
         return 1
@@ -209,6 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -17,17 +17,17 @@ Diagnostics are positioned ``name:line:column``.  Only ``"\n"`` ends a line,
 columns count characters from 1, and end of input sits one past the last
 character.  The CLI maps CRLF and CR to ``"\n"`` before parsing.
 
-``parse`` takes one of two paths over the whole text.  The fast path matches
-one statement at a time with ``_STATEMENT_PATTERN``: the whitespace and
-comments before it, then a gate with no space inside it (as ``render`` writes
-them), a ``qubits N`` header as the first statement, or end of input; it
-builds the records straight from the groups.  Any other text (a signed zero
-exponent, a second header, an integer of more than 18 digits), and any value
-that ``GateString`` or ``PearlNecklace`` refuses with ``ValueError``, sends the
+``parse`` takes one of two paths over the whole text.  The fast path reads
+what ``render`` writes, each statement after its whitespace and comments: a
+``qubits N`` header at the start (``_HEADER_PATTERN``), gates with no space
+inside them (``_GATE_PATTERN``) and end of input (``_END_PATTERN``); it builds
+the records straight from the groups.  Any other text (a signed zero exponent,
+a header anywhere else, an integer of more than 18 digits), and any value that
+``GateString`` or ``PearlNecklace`` refuses with ``ValueError``, sends the
 whole text to the tokenizer and recursive-descent parser instead, a second
-pass only on rare or wrong input.  Only that path writes diagnostics: it
-checks the records' rules again at each value's ``line:column``.  Only it
-reads the other spellings, such as ``CNOT (1 ,2)(D ^ 3)``.
+pass only on rare or wrong input.  Only that path writes diagnostics: it checks
+the records' rules again at each value's ``line:column``.  Only it reads the
+other spellings, such as ``CNOT (1 ,2)(D ^ 3)``.
 """
 
 from __future__ import annotations
@@ -72,37 +72,35 @@ class EncoderSemanticError(ParseError):
     pass
 
 
-# Whitespace and comments, then one statement: a canonical gate (source,
-# target, then "1", "D" or the exponent of "D^k"), a header (its width), or
-# end of input (no group).  Digits are ASCII only, as for the tokenizer, and
-# at most 18, so a longer literal falls back to the tokenizer's diagnostic.
-# A comment runs to the end of its line: (?![^\n]) keeps a failed match from
-# backtracking into it and reading what follows '#' as a statement.  Like
-# _TOKEN_PATTERN, it is compiled on first use through re's cache, so that
-# importing the parser compiles no pattern.
-_STATEMENT_PATTERN = (
-    r"\s*(?:#[^\n]*(?![^\n])\s*)*"
-    r"(?:CNOT\(([0-9]{1,18}),([0-9]{1,18})\)\((?:(1)|D(?:\^(-?[0-9]{1,18}))?)\)"
-    r"|qubits +([0-9]{1,18})|\Z)"
+# Whitespace and comments, then a header (its width), a canonical gate (source,
+# target, then "1", "D" or the exponent of "D^k") or end of input.  Digits are
+# ASCII only, as for the tokenizer, and at most 18, so a longer literal falls
+# back to the tokenizer's diagnostic.  A comment runs to the end of its line:
+# (?![^\n]) keeps a failed match from backtracking into it and reading what
+# follows '#' as a statement.  Like _TOKEN_PATTERN, each is compiled on first
+# use through re's cache, so that importing the parser compiles no pattern.
+_HEADER_PATTERN, _GATE_PATTERN, _END_PATTERN = (
+    r"\s*(?:#[^\n]*(?![^\n])\s*)*" + statement
+    for statement in (
+        r"qubits +([0-9]{1,18})",
+        r"CNOT\(([0-9]{1,18}),([0-9]{1,18})\)\((?:(1)|D(?:\^(-?[0-9]{1,18}))?)\)",
+        r"\Z",
+    )
 )
 
 
 def _parse_statements(text: str) -> PearlNecklace | None:
-    """The encoder, when every statement of ``text`` matches
-    ``_STATEMENT_PATTERN`` and the records accept it; otherwise None.  The
-    records check the indices and the width; this checks only what they cannot
-    see: a signed zero exponent and a header after the first statement."""
-    match = re.compile(_STATEMENT_PATTERN).match
-    m = match(text)
-    declared_width = None
-    if m is not None and m[5] is not None:
-        declared_width = int(m[5])
-        m = match(text, m.end())
+    """The encoder, when ``text`` is an optional header, canonical gates and end
+    of input, and the records accept it; otherwise None.  The records check the
+    indices and the width; this checks only what they cannot see: D^-0."""
+    header = re.match(_HEADER_PATTERN, text)
+    end = 0 if header is None else header.end()
+    match = re.compile(_GATE_PATTERN).match
     strings: list[GateString] = []
     append = strings.append
     try:
-        while m is not None and m[1] is not None:
-            a, b, one, exp, _ = m.groups()
+        while (m := match(text, end)) is not None:
+            a, b, one, exp = m.groups()
             if one is not None:
                 degree = 0
             elif exp is None:
@@ -112,10 +110,10 @@ def _parse_statements(text: str) -> PearlNecklace | None:
                 if degree == 0 and exp[0] == "-":
                     return None
             append(GateString(int(a), int(b), degree))
-            m = match(text, m.end())
-        if m is None or m[5] is not None:  # not canonical, or a second header
+            end = m.end()
+        if re.compile(_END_PATTERN).match(text, end) is None:
             return None
-        return PearlNecklace(strings, declared_width)
+        return PearlNecklace(strings, None if header is None else int(header[1]))
     except ValueError:
         return None
 

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import make_encoder, seeded_gates
 
 import pearlmem
 import pearlmem.cli
@@ -458,6 +459,13 @@ def test_selftest_reports_oracle_failures(monkeypatch, capsys):
         assert capsys.readouterr().out == failed(reasons)
 
 
+def test_run_selftest_returns_its_failures(monkeypatch):
+    assert pearlmem.selftest.run_selftest(seed=3, count=2) == ()
+    monkeypatch.setattr(pearlmem.selftest, "check_instance", lambda enc: "wrong")
+    failures = pearlmem.selftest.run_selftest(seed=1, count=2)
+    assert failures == tuple(f"instance {i}: wrong [{SELFTEST_SEED1[i]}]" for i in (0, 1))
+
+
 def test_selftest_rejects_negative_count(capsys):
     assert main(["selftest", "--count", "-1"]) == 1
     captured = capsys.readouterr()
@@ -474,6 +482,90 @@ def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory\n"
+
+
+def _run_cli(argv, stdout, unbuffered):
+    """Run ``pearlmem argv`` in a fresh interpreter with stdout at ``stdout``,
+    block-buffered as it is on a pipe, or unbuffered."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pearlmem.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "pearlmem.cli", *argv]
+    return subprocess.Popen(command, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_that_leaves_early_is_no_error(unbuffered, tmp_path):
+    # `pearlmem dot big.pne | head -1`: the DOT text is far larger than a pipe.
+    big = tmp_path / "big.pne"
+    big.write_text(render(make_encoder(seeded_gates(random.Random(1), 1000, 4, 3), 4)))
+    with _run_cli(["dot", str(big)], subprocess.PIPE, unbuffered) as proc:
+        assert proc.stdout.readline() == b"digraph commutativity {\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 0
+    # A reader that left before the first byte; small output stays in the
+    # buffer until main flushes it.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for argv in (["analyze", EXAMPLE1], ["analyze", "--json", EXAMPLE1], ["dot", EXAMPLE1]):
+            with _run_cli(argv, write_end, unbuffered) as proc:
+                assert proc.stderr.read() == b"", argv
+                assert proc.wait(timeout=60) == 0, argv
+    finally:
+        os.close(write_end)
+
+
+class _GoneReader:
+    """A stdout whose reader has gone: ``failing`` ("write" or "flush") raises
+    EPIPE.  Its descriptor is a file the test owns."""
+
+    def __init__(self, fd, failing):
+        self.fd, self.failing = fd, failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_a_mismatch_exits_2_after_the_reader_has_gone(failing, monkeypatch, tmp_path, capsys):
+    real = pearlmem.gf2.brute_force_min_memory
+    monkeypatch.setattr(pearlmem.gf2, "brute_force_min_memory", lambda e, b: real(e, b) + 1)
+    complaint = f"{EXAMPLE1}: brute-force memory disagrees with the graph analysis\n"
+    for argv, status, err in (
+        (["brute-check", EXAMPLE1], 2, complaint),
+        (["brute-check", "--json", EXAMPLE1], 2, complaint),
+        (["selftest", "--seed", "1", "--count", "3"], 2, ""),
+        (["analyze", EXAMPLE1], 0, ""),
+    ):
+        with open(tmp_path / "stdout", "w") as file, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", _GoneReader(file.fileno(), failing))
+            assert main(argv) == status, argv
+            if failing == "flush":  # fd 1 now writes to os.devnull, so the exit flush succeeds
+                assert os.path.samestat(os.fstat(file.fileno()), os.stat(os.devnull)), argv
+        assert capsys.readouterr() == ("", err), argv
+
+
+def test_other_write_errors_stay_errors(monkeypatch, capsys):
+    class Full(_GoneReader):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", Full(-1, None))
+        assert main(["dot", EXAMPLE1]) == 1
+    assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from pearlmem import (
 )
 from pearlmem.gf2 import pearl_matrix
 from pearlmem.model import constraint_set
-from pearlmem.selftest import run_selftest
 
 ST = "source-target"
 TS = "target-source"
@@ -153,7 +152,6 @@ def _public_records():
             "Gf2Circuit": pearl_matrix(enc, 4),
             "SourceText": SourceText("qubits 2", name="x.pne"),
             "AnalysisReport": report,
-            "SelftestResult": run_selftest(seed=3, count=2),
         }
 
     return build(), build()

@@ -227,11 +227,12 @@ def test_corpus_and_readme_take_the_fast_path(monkeypatch):
 # Near misses of canonical statements, which the fast path must hand to the
 # tokenizer: a delay that only starts like (1) or (D), a header followed by a
 # word, a width or index out of range, a single-qubit CNOT, a signed zero, a
-# second header and an index of 19 digits.
+# second header, a header after a gate, a header with a tab and an index of 19
+# digits.
 NEAR_MISSES = [
     "CNOT(1,2)(10)", "CNOT(1,2)(D2)", "qubits 2x", "qubits 0\n", "CNOT(0,1)(D)",
     "CNOT(1,1)(1)", "CNOT(1,2)(D^-0)", "qubits 2\nqubits 3\n", "qubits 2\nCNOT(1,3)(D)",
-    "CNOT(" + "1" * 19 + ",1)(D)",
+    "CNOT(1,2)(D)\nqubits 2\n", "qubits\t2\nCNOT(1,2)(D)", "CNOT(" + "1" * 19 + ",1)(D)",
 ]
 
 
