@@ -2,17 +2,19 @@
 
 Subcommands: analyze | dot | verify | brute-check | selftest.  Exit status is
 0 on success, 1 on parse or semantic errors (a file that is not UTF-8
-included), usage errors, other input problems or running out of memory, and
-2 only when verify, brute-check or selftest detects a correctness mismatch; a
-reader of stdout that leaves early, as ``head`` does, changes none of that.
-Every analysis runs the linear core.  ``dot`` and ``analyze --dot`` share one
-writer: it takes the edge count from the core, refuses a graph over
-``graph.MAX_DOT_EDGES`` before writing anything, and streams the DOT text
-string by string without building the graph.  ``verify`` and ``brute-check``
-run a ``gf2`` check, which works out its own margin or bound and makes its
-own refusals, and share one ending: the JSON report with the check's result
-under ``verification`` or a one-line result, then on a mismatch one
-``file: complaint`` line on stderr and exit 2.
+included), usage errors, other input problems, a stdout that cannot be
+written or running out of memory, and 2 only when verify, brute-check or
+selftest detects a correctness mismatch; a reader of stdout that leaves
+early, as ``head`` does, changes none of that.  Each subcommand returns its
+stdout text, its status and, on a mismatch, a complaint; ``main`` alone
+writes and flushes the text, then prints ``file: complaint`` on stderr, and
+turns every error into one line on stderr.  Every analysis runs the linear
+core.  ``dot`` and ``analyze --dot`` share one writer: it takes the edge
+count from the core, refuses a graph over ``graph.MAX_DOT_EDGES`` before
+writing anything, and streams the DOT text string by string without building
+the graph.  ``verify`` and ``brute-check`` run a ``gf2`` check, which works
+out its own margin or bound and makes its own refusals, and return the JSON
+report with the check's result under ``verification`` or a one-line result.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .gf2 import brute_check, realization_check
 from .graph import check_dot_edges, write_dot
 from .model import PearlNecklace
 from .parser import EncoderSyntaxError, ParseError, SourceText, parse
-from .report import AnalysisReport, analyze, to_json, to_text
+from .report import analyze, to_json, to_text
 from .selftest import run_selftest
 
 
@@ -58,76 +60,54 @@ def _write_dot(enc: PearlNecklace, edge_count: int, path: str | None) -> None:
         write_dot(enc, sys.stdout)
 
 
-def _check_result(
-    args: argparse.Namespace,
-    report: AnalysisReport,
-    verification: dict,
-    ok: bool,
-    line: str,
-    complaint: str,
-) -> int:
-    """Write the JSON report or the one-line result; a mismatch also prints
-    ``file: complaint`` on stderr and exits 2."""
-    try:
-        sys.stdout.write(to_json(report, verification) if args.json else line + "\n")
-    except BrokenPipeError:  # the reader has gone (see main); the status stands
-        pass
-    if ok:
-        return 0
-    print(f"{args.file}: {complaint}", file=sys.stderr)
-    return 2
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> tuple[str, int, str | None]:
     enc = _load_encoder(args.file)
     report = analyze(enc)
     if args.dot is not None:
         _write_dot(enc, report.search.edge_count, args.dot)
-    sys.stdout.write(to_json(report) if args.json else to_text(report))
-    return 0
+    return to_json(report) if args.json else to_text(report), 0, None
 
 
-def _cmd_dot(args: argparse.Namespace) -> int:
+def _cmd_dot(args: argparse.Namespace) -> tuple[str, int, str | None]:
     enc = _load_encoder(args.file)
     _write_dot(enc, longest_path_linear(enc).edge_count, args.output)
-    return 0
+    return "", 0, None
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int, str | None]:
     enc = _load_encoder(args.file)
     report = analyze(enc)
     result = realization_check(enc, report.assignment, args.frames)
     equal = result["interior_equal"]
-    return _check_result(
-        args,
-        report,
-        result,
-        equal,
+    text = to_json(report, result) if args.json else (
         f"interior_equal={'TRUE' if equal else 'FALSE'} (frames={result['frames']}, "
-        f"margin={result['margin']}, memory={report.assignment.memory})",
+        f"margin={result['margin']}, memory={report.assignment.memory})\n"
+    )
+    if equal:
+        return text, 0, None
+    return text, 2, (
         "convolutional realization does not match the pearl-necklace encoder "
-        "on the GF(2) interior",
+        "on the GF(2) interior"
     )
 
 
-def _cmd_brute_check(args: argparse.Namespace) -> int:
+def _cmd_brute_check(args: argparse.Namespace) -> tuple[str, int, str | None]:
     enc = _load_encoder(args.file)
     report = analyze(enc)
     memory = report.assignment.memory
     result = brute_check(enc, memory)
     brute, ok = result["brute_force_frames"], result["match"]
-    brute_text = f"exceeds-bound({result['bound']})" if brute is None else str(brute)
-    return _check_result(
-        args,
-        report,
-        result,
-        ok,
-        f"graph={memory} brute={brute_text} {'OK' if ok else 'MISMATCH'}",
-        "brute-force memory disagrees with the graph analysis",
-    )
+    if args.json:
+        text = to_json(report, result)
+    else:
+        brute_text = f"exceeds-bound({result['bound']})" if brute is None else str(brute)
+        text = f"graph={memory} brute={brute_text} {'OK' if ok else 'MISMATCH'}\n"
+    if ok:
+        return text, 0, None
+    return text, 2, "brute-force memory disagrees with the graph analysis"
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
+def _cmd_selftest(args: argparse.Namespace) -> tuple[str, int, str | None]:
     failures = run_selftest(seed=args.seed, count=args.count)
     if args.json:
         import json  # only JSON output needs it; start-up stays lean
@@ -138,11 +118,15 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         status = f"{len(failures)} FAILED" if failures else "OK"
         text = f"selftest seed={args.seed} count={args.count}: {status}\n"
         text += "".join(f"  {failure}\n" for failure in failures)
-    try:
-        sys.stdout.write(text)
-    except BrokenPipeError:  # the reader has gone (see main); the status stands
-        pass
-    return 2 if failures else 0
+    return text, 2 if failures else 0, None
+
+
+def _drop_stdout() -> None:
+    """Point fd 1 at os.devnull, so that what is still buffered for stdout
+    goes nowhere and the flush at exit succeeds."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -199,24 +183,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    status = 0
+    status, complaint = 0, None
     try:
-        status = args.func(args)
+        text, status, complaint = args.func(args)
+        sys.stdout.write(text)
         sys.stdout.flush()  # a reader that has gone is seen here, not at exit
-    except BrokenPipeError:
-        # No error: point fd 1 at os.devnull, so that the flush at exit succeeds.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except BrokenPipeError:  # no error; the status stands
+        _drop_stdout()
     except ParseError as err:
         print(str(err), file=sys.stderr)
         return 1
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout itself cannot be written
+            _drop_stdout()
         return 1
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 1
+    if complaint is not None:
+        print(f"{args.file}: {complaint}", file=sys.stderr)
     return status
 
 

@@ -484,15 +484,16 @@ def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
     assert captured.err == "error: out of memory\n"
 
 
-def _run_cli(argv, stdout, unbuffered):
+def _run_cli(argv, stdout, unbuffered, stderr=subprocess.PIPE, entry=("-m", "pearlmem.cli")):
     """Run ``pearlmem argv`` in a fresh interpreter with stdout at ``stdout``,
-    block-buffered as it is on a pipe, or unbuffered."""
+    block-buffered as it is on a pipe, or unbuffered; ``entry`` may be a
+    ``-c`` script that calls ``main(sys.argv[1:])``."""
     env = {**os.environ, "PYTHONPATH": str(Path(pearlmem.__file__).resolve().parents[1])}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    command = [sys.executable, "-m", "pearlmem.cli", *argv]
-    return subprocess.Popen(command, stdout=stdout, stderr=subprocess.PIPE, env=env)
+    command = [sys.executable, *entry, *argv]
+    return subprocess.Popen(command, stdout=stdout, stderr=stderr, env=env)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -516,6 +517,72 @@ def test_a_reader_that_leaves_early_is_no_error(unbuffered, tmp_path):
                 assert proc.wait(timeout=60) == 0, argv
     finally:
         os.close(write_end)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_full_stdout_is_one_error_line(unbuffered):
+    # Block-buffered, the text fails at main's flush and would fail again at
+    # exit; main drops it, so one line and exit 1 is all that is left.
+    with open("/dev/full", "wb") as full:
+        for argv in (
+            ["analyze", EXAMPLE1],
+            ["analyze", "--json", EXAMPLE1],
+            ["dot", EXAMPLE1],
+            ["verify", EXAMPLE1],
+            ["selftest", "--count", "1"],
+        ):
+            with _run_cli(argv, full, unbuffered) as proc:
+                assert proc.stderr.read() == b"error: [Errno 28] No space left on device\n", argv
+                assert proc.wait(timeout=60) == 1, argv
+
+
+_MISMATCH_SCRIPT = """
+import sys
+import pearlmem.gf2
+from pearlmem.cli import main
+real = pearlmem.gf2.brute_force_min_memory
+pearlmem.gf2.brute_force_min_memory = lambda enc, bound: real(enc, bound) + 1
+pearlmem.gf2.interior_equal = lambda a, b, margin: False
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_mismatch_complaint_follows_the_result_on_one_stream():
+    # stdout and stderr on one pipe, stdout block-buffered: the result is
+    # written and flushed before the complaint.
+    brute = f"{EXAMPLE1}: brute-force memory disagrees with the graph analysis\n"
+    verify = (
+        f"{EXAMPLE1}: convolutional realization does not match the "
+        "pearl-necklace encoder on the GF(2) interior\n"
+    )
+    for argv, result, complaint in (
+        (["brute-check", EXAMPLE1], "graph=3 brute=4 MISMATCH\n", brute),
+        (
+            ["brute-check", "--json", EXAMPLE1],
+            (GOLDEN / "example1.brute.json").read_text().replace(
+                '"brute_force_frames": 3,\n    "match": true',
+                '"brute_force_frames": 4,\n    "match": false',
+            ),
+            brute,
+        ),
+        (
+            ["verify", "--frames", "12", EXAMPLE1],
+            (GOLDEN / "example1.verify.txt").read_text().replace("TRUE", "FALSE"),
+            verify,
+        ),
+        (
+            ["verify", "--frames", "12", "--json", EXAMPLE1],
+            (GOLDEN / "example1.verify.json").read_text().replace(
+                '"interior_equal": true', '"interior_equal": false'
+            ),
+            verify,
+        ),
+    ):
+        script = ("-c", _MISMATCH_SCRIPT)
+        with _run_cli(argv, subprocess.PIPE, False, subprocess.STDOUT, script) as proc:
+            assert proc.stdout.read() == (result + complaint).encode(), argv
+            assert proc.wait(timeout=60) == 2, argv
 
 
 class _GoneReader:
@@ -542,10 +609,16 @@ class _GoneReader:
 def test_a_mismatch_exits_2_after_the_reader_has_gone(failing, monkeypatch, tmp_path, capsys):
     real = pearlmem.gf2.brute_force_min_memory
     monkeypatch.setattr(pearlmem.gf2, "brute_force_min_memory", lambda e, b: real(e, b) + 1)
+    monkeypatch.setattr(pearlmem.gf2, "interior_equal", lambda a, b, margin: False)
     complaint = f"{EXAMPLE1}: brute-force memory disagrees with the graph analysis\n"
+    unequal = (
+        f"{EXAMPLE1}: convolutional realization does not match the "
+        "pearl-necklace encoder on the GF(2) interior\n"
+    )
     for argv, status, err in (
         (["brute-check", EXAMPLE1], 2, complaint),
         (["brute-check", "--json", EXAMPLE1], 2, complaint),
+        (["verify", EXAMPLE1], 2, unequal),
         (["selftest", "--seed", "1", "--count", "3"], 2, ""),
         (["analyze", EXAMPLE1], 0, ""),
     ):

@@ -211,6 +211,23 @@ def test_default_verdicts_hold_in_a_window_twice_as_long():
     assert result == {"frames": 18, "interior_equal": False, "margin": 6}
 
 
+def test_minimal_means_minimal_under_the_pair_rule():
+    # Chains CNOT(a,a)(D^l) on one qubit act as polynomial multiplications
+    # and commute, though the pair rule orders them: an assignment of memory
+    # 3 that breaks a pair constraint is still GF(2)-equal, in the default
+    # window and in long ones.  "Minimal" is minimal among realizations that
+    # keep the order of every colliding pair; brute force agrees with that.
+    enc = make_encoder([(1, 1, 2), (1, 1, 1), (1, 1, -2)], 1)
+    fa = frame_assignment(enc)
+    assert fa.memory == 4
+    assert brute_force_min_memory(enc, bound=5) == 4
+    lower = fa._replace(sigma=(2, 3, 0), tau=(0, 2, 2), memory=3, memory_qubits=3)
+    assert not satisfies_constraints(enc, lower)
+    assert realization_check(enc, lower) == {"frames": 18, "interior_equal": True, "margin": 6}
+    for frames in (40, 61, 80):
+        assert realization_check(enc, lower, frames)["interior_equal"], frames
+
+
 def test_brute_check_matches_only_the_exact_memory():
     # The bound is memory + 1, so a wrong memory, or nothing found within
     # the bound, is a mismatch.

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import POS_GATES, make_encoder
 
 import pearlmem
@@ -73,6 +74,30 @@ def test_names_the_benchmark_reads_exist():
     assert report.to_json(rep) == report.to_json(analyzed)
     assert report.to_text(rep) == report.to_text(analyzed)
     assert analyzed.graph == g
+
+
+def test_readme_library_block_runs(capsys):
+    # README's "Library" block, statement by statement in one namespace,
+    # with each expression's value checked against what its comment says.
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    *statements, last = ast.parse(block).body
+    namespace, values = {}, []
+    for statement in statements:
+        if isinstance(statement, ast.Expr):
+            code = compile(ast.Expression(statement.value), "README.md", "eval")
+            values.append(eval(code, namespace))
+        else:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+    memory, qubits, tau, dot, streamed, brute, check, agreed = values
+    assert (memory, qubits, tau) == (3, 9, (0, 1, 0, 2, 2))
+    assert capsys.readouterr().out == dot and streamed is None
+    assert brute == 3
+    assert check == {"frames": 18, "interior_equal": True, "margin": 6}
+    assert agreed is None
+    with pytest.raises(pearlmem.ParseError) as err:
+        exec(compile(ast.Module([last], []), "README.md", "exec"), namespace)
+    assert str(err.value) == "bad.pne:1:1: CNOT(1,1)(1) would act on a single qubit"
 
 
 def test_no_assert_statement_in_the_package():
