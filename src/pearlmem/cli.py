@@ -2,19 +2,19 @@
 
 Subcommands: analyze | dot | verify | brute-check | selftest.  Exit status is
 0 on success, 1 on parse or semantic errors (a file that is not UTF-8
-included), usage errors, other input problems, a stdout that cannot be
-written or running out of memory, and 2 only when verify, brute-check or
-selftest detects a correctness mismatch; a reader of stdout that leaves
-early, as ``head`` does, changes none of that.  Each subcommand returns its
-stdout text, its status and, on a mismatch, a complaint; ``main`` alone
-writes and flushes the text, then prints ``file: complaint`` on stderr, and
-turns every error into one line on stderr.  Every analysis runs the linear
-core.  ``dot`` and ``analyze --dot`` share one writer: it takes the edge
-count from the core, refuses a graph over ``graph.MAX_DOT_EDGES`` before
-writing anything, and streams the DOT text string by string without building
-the graph.  ``verify`` and ``brute-check`` run a ``gf2`` check, which works
-out its own margin or bound and makes its own refusals, and return the JSON
-report with the check's result under ``verification`` or a one-line result.
+included), usage errors, other input problems, a stdout that cannot be written
+or running out of memory, and 2 only when verify, brute-check or selftest
+detects a correctness mismatch; a reader of stdout that leaves early, as
+``head`` does, is no error, unlike one of a named DOT file.  Each subcommand
+returns its stdout text, its status and, on a mismatch, a complaint; ``main``
+alone writes and flushes the text, then prints ``file: complaint`` on stderr,
+and turns every error into one line on stderr.  Every analysis runs the linear
+core.  ``dot`` and ``analyze --dot`` share one writer: it takes the edge count
+from the core, refuses a graph over ``graph.MAX_DOT_EDGES`` before writing
+anything, and streams the DOT text string by string without building the
+graph.  ``verify`` and ``brute-check`` run a ``gf2`` check, which works out
+its own margin or bound and makes its own refusals, and return the JSON report
+with the check's result under ``verification`` or a one-line result.
 """
 
 from __future__ import annotations
@@ -54,8 +54,11 @@ def _write_dot(enc: PearlNecklace, edge_count: int, path: str | None) -> None:
     """Refuse a graph over the DOT budget, then stream it to ``path`` or stdout."""
     check_dot_edges(edge_count)
     if path is not None:
-        with open(path, "w", encoding="utf-8") as out:
-            write_dot(enc, out)
+        try:
+            with open(path, "w", encoding="utf-8") as out:
+                write_dot(enc, out)
+        except BrokenPipeError as err:  # a file the user named is not stdout
+            raise OSError(f"{path}: {err.strerror}") from None
     else:
         write_dot(enc, sys.stdout)
 

@@ -8,9 +8,9 @@ derived from a frame assignment, compares them away from the truncation
 boundary, and brute-forces the minimal memory on small instances.  None of it
 reuses the graph construction, so agreement is evidence of correctness.
 
-The brute force gives each gate string one offset, bounded from below by
-every pair constraint, so given the earlier strings a string fits for exactly
-one interval of offsets, which the search walks (:func:`brute_force_min_memory`).
+The brute force (:func:`brute_force_min_memory`) gives each gate string the
+interval of offsets that keeps every pair constraint, read off per-qubit
+maxima of the earlier strings, and skips a (string, maxima) pair it has seen.
 
 ``verify``, ``brute-check`` and ``selftest`` share :func:`realization_check`
 and :func:`brute_check`, the one home of each check's refusals and of the
@@ -62,7 +62,6 @@ to global frame p + (L - w) for block application p.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import accumulate
 from operator import xor
 from typing import Iterable, NamedTuple, Sequence
@@ -73,8 +72,8 @@ from .model import PearlNecklace
 # Largest frames * frame_width simulated: a matrix holds up to that many bits
 # squared, 128 MiB at the limit.  The benchmark's widest window is 174 x 64.
 MAX_QUBITS = 1 << 15
-# Most gate strings brute-forced.  Eight seeded N = 18, width-3 encoders took
-# 0.1-28 s each, two of them over 40 s (Python 3.11, 2 shared vCPUs).
+# Most gate strings brute-forced.  100 seeded N = 18 encoders per width 2-4
+# took at most 0.1, 0.5 and 12 s (341 MB peak; Python 3.11, 2 shared vCPUs).
 MAX_BRUTE_STRINGS = 18
 
 
@@ -315,17 +314,17 @@ def brute_force_min_memory(enc: PearlNecklace, bound: int) -> int | None:
     """Minimal memory by exhaustive search over per-gate base offsets, or None
     when no assignment within ``bound`` keeps every pair constraint.
 
-    String k, CNOT(a,b)(D^l), gets an offset w in [0, bound] and sits at
-    sigma = w + p, tau = w + q, with p = max(l, 0) and q = max(-l, 0).  Its
-    constraints bound w from below: sigma_i <= tau_k for each earlier string
-    i whose source is b, tau_i <= sigma_k for each whose target is a.  So,
-    given the earlier strings, k fits for exactly the w in [lo, bound], with
-    lo = max(0, max sigma_i - q, max tau_i - p), and the search walks that
-    interval.  Its first leaf puts every string at its lo, the linear core's
-    assignment; the rest of the search proves that nothing smaller fits.
-    Independent of the graph search; raises ``ValueError`` for a negative
-    bound or more than :data:`MAX_BRUTE_STRINGS` strings before any
-    per-string work.
+    String k, CNOT(a,b)(D^l), sits at sigma = w + p, tau = w + q for an offset
+    w in [0, bound], with p = max(l, 0) and q = max(-l, 0).  The state is a
+    key holding, per qubit used, S, the largest sigma of a placed string with
+    that source, then T, the largest tau of one with that target (-1: none).
+    The pair constraints sigma_i <= tau_k and tau_i <= sigma_k leave k the w
+    in [lo, bound], lo = max(0, S[b] - q, T[a] - p), which the search walks.
+    Later strings read only the key and the memory is max(0, *key), so a
+    (k, key) pair already searched is skipped: a revisit cannot beat the best
+    found since.  The first leaf is the linear core's assignment.  Raises
+    ``ValueError`` for a negative bound or more than :data:`MAX_BRUTE_STRINGS`
+    strings before any per-string work.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
@@ -335,40 +334,28 @@ def brute_force_min_memory(enc: PearlNecklace, bound: int) -> int | None:
             f"brute force over {n} gate strings exceeds the limit of "
             f"{MAX_BRUTE_STRINGS}"
         )
-    # Per string: p, q and the earlier strings whose source is its target and
-    # whose target is its source, read off per-qubit lists.
-    gates = []
-    by_source, by_target = defaultdict(list), defaultdict(list)  # by qubit
-    for k, (a, b, l) in enumerate(enc.strings):
-        gates.append((max(l, 0), max(-l, 0), by_source[b][:], by_target[a][:]))
-        by_source[a].append(k)
-        by_target[b].append(k)
-
-    sigmas = [0] * n
-    taus = [0] * n
+    # Only the qubits used get key entries: S[x] at slot[x], T[x] at slot[x] + 1.
+    slot = {x: 2 * i for i, x in enumerate({x for g in enc.strings for x in g[:2]})}
+    steps = [(slot[a], slot[b], max(l, 0), max(-l, 0)) for a, b, l in enc.strings]
+    seen: set[tuple[int, tuple[int, ...]]] = set()
     best: int | None = None
 
-    def extend(k: int, cur_max: int) -> None:
+    def extend(k: int, key: tuple[int, ...], cur_max: int) -> None:
         nonlocal best
         if k == n:
             best = cur_max
-            return
-        p, q, st, ts = gates[k]
-        lo = 0  # plain loops: these lists are short, and max() costs more
-        for i in st:
-            if sigmas[i] - q > lo:
-                lo = sigmas[i] - q
-        for i in ts:
-            if taus[i] - p > lo:
-                lo = taus[i] - p
-        for w in range(lo, bound + 1):
-            new_max = max(cur_max, w + p + q)  # p or q is 0
-            if best is not None and new_max >= best:
-                break  # sigma and tau grow with w, so all larger w prune too
-            sigmas[k], taus[k] = w + p, w + q
-            extend(k + 1, new_max)
+        elif (k, key) not in seen:
+            seen.add((k, key))
+            i, j, p, q = steps[k]  # slot[a], slot[b], p, q
+            for w in range(max(0, key[j] - q, key[i + 1] - p), bound + 1):
+                new_max = max(cur_max, w + p + q)  # p or q is 0
+                if best is not None and new_max >= best:
+                    break  # sigma and tau grow with w, so all larger w prune too
+                nxt = list(key)
+                nxt[i], nxt[j + 1] = max(key[i], w + p), max(key[j + 1], w + q)
+                extend(k + 1, tuple(nxt), new_max)
 
-    extend(0, 0)
+    extend(0, (-1,) * (2 * len(slot)), 0)
     return best
 
 

@@ -201,9 +201,10 @@ def is_invertible(circuit: Gf2Circuit) -> bool:
 
 
 def brute_force_reference(enc: PearlNecklace, bound: int) -> int | None:
-    """Reference for ``gf2.brute_force_min_memory``: the same depth-first
-    search over per-gate offsets w in [0, bound], testing each w against the
-    gate's pairs from ``constraint_set``, the specification of the pair rule."""
+    """Reference for ``gf2.brute_force_min_memory``: the unmemoized
+    depth-first search over per-gate offsets w in [0, bound], testing each w
+    against the gate's pairs from ``constraint_set``, the specification of
+    the pair rule."""
     n = len(enc.strings)
     degrees = [g.degree for g in enc.strings]
     # Per gate k, the earlier strings i with sigma_i <= tau_k (source-target)

@@ -7,6 +7,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -176,7 +177,7 @@ def test_analysis_subcommands_never_build_the_graph(monkeypatch, tmp_path, capsy
 
 def test_no_subcommand_lists_the_constraint_pairs(monkeypatch):
     # constraint_set is the all-pairs specification the tests check against;
-    # brute force reads each gate's colliding strings off per-qubit lists.
+    # brute force reads each string's lower offset off a per-qubit key.
     def refuse(enc):
         raise AssertionError("constraint_set called")
 
@@ -517,6 +518,33 @@ def test_a_reader_that_leaves_early_is_no_error(unbuffered, tmp_path):
                 assert proc.wait(timeout=60) == 0, argv
     finally:
         os.close(write_end)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_a_dot_file_whose_reader_leaves_early_is_an_error(tmp_path):
+    # The user named the DOT file, so unlike stdout its reader may not leave.
+    big = tmp_path / "big.pne"
+    big.write_text(render(make_encoder(seeded_gates(random.Random(1), 1000, 4, 3), 4)))
+    fifo = tmp_path / "graph.fifo"
+    os.mkfifo(fifo)
+    for argv in (["analyze", str(big), "--dot", str(fifo)], ["dot", str(big), "-o", str(fifo)]):
+        # A non-blocking reader opens at once, so the CLI's open cannot block.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        with _run_cli(argv, subprocess.PIPE, False) as proc:
+            try:
+                deadline, head = time.monotonic() + 60, b""
+                while len(head) < 100 and time.monotonic() < deadline:
+                    try:
+                        head += os.read(reader, 100 - len(head))
+                    except BlockingIOError:
+                        pass
+                    time.sleep(0.01)
+            finally:
+                os.close(reader)
+            assert head.startswith(b"digraph commutativity {\n"), argv
+            assert proc.wait(timeout=60) == 1, argv
+            assert proc.stdout.read() == b"", argv
+            assert proc.stderr.read() == f"error: {fifo}: Broken pipe\n".encode(), argv
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

@@ -477,6 +477,9 @@ def test_brute_force_examples():
     assert brute_force_min_memory(make_encoder(POS_GATES), bound=4) == 3
     assert brute_force_min_memory(make_encoder(COMMUTING_GATES), bound=2) == 1
     assert brute_force_min_memory(make_encoder([(1, 2, 3)]), bound=4) == 3
+    # The search state holds only the qubits the strings use.
+    wide = make_encoder([(1, 10**12, 1), (10**12, 1, -2)], frame_width=10**12)
+    assert brute_force_min_memory(wide, bound=3) == 2
 
 
 def test_brute_force_exceeds_bound_is_a_value():
@@ -522,6 +525,18 @@ def test_brute_force_matches_graph_on_random_instances():
         enc = random_encoder(rng)
         memory = frame_assignment(enc).memory
         assert brute_force_min_memory(enc, bound=memory + 1) == memory
+
+
+def test_brute_force_finishes_at_the_limit():
+    # N = MAX_BRUTE_STRINGS: the search skips the keys it has searched; one
+    # without that ran past a minute on two of these encoders.
+    assert pearlmem.gf2.MAX_BRUTE_STRINGS == 18
+    for seed in range(8):
+        enc = make_encoder(seeded_gates(random.Random(seed), 18, 3, 3))
+        memory = frame_assignment(enc).memory
+        # brute_check searches once, at bound memory + 1.
+        result = {"bound": memory + 1, "brute_force_frames": memory, "match": True}
+        assert brute_check(enc, memory) == result, seed
 
 
 def test_brute_force_matches_the_pairwise_reference():
