@@ -10,14 +10,15 @@ turns into scheduling constraints.
 The records own the encoder's value rules and raise ``ValueError`` on any
 value they refuse; the parser repeats the rules only to position its errors.
 
-The package's records are immutable values.  Most are ``typing.NamedTuple``
-classes, so they unpack, compare equal to plain tuples of the same fields and
-copy with ``_replace``; those that validate their fields (``GateString``,
-``gf2.Gf2Circuit``) do so in ``__new__``, which ``_replace`` also goes
-through.  ``PearlNecklace`` and ``report.AnalysisReport``, which caches its
-graph outside its equality, are small slotted classes on ``_Record``
-instead.  No record is a dataclass: generating their code would cost more
-than the rest of the package's import.
+The package's records are immutable values, and every one is a
+``typing.NamedTuple`` class or a subclass of one, so they unpack, compare
+equal to plain tuples of the same fields and copy with ``_replace``.  Those
+that validate their fields (``GateString``, ``PearlNecklace``,
+``gf2.Gf2Circuit``) are slotted subclasses that do so in ``__new__``, which
+``_replace`` also goes through.  ``report.AnalysisReport`` keeps its graph
+cache outside the tuple, so the cache takes no part in its equality.  No
+record is a dataclass: generating their code would cost more than the rest
+of the package's import.
 """
 
 from __future__ import annotations
@@ -66,50 +67,23 @@ class GateString(_GateFields):
         return f"CNOT({self.source},{self.target})({degree_notation(self.degree)})"
 
 
-class _Record:
-    """Base of the slotted records: immutable, and compared, hashed, printed
-    and pickled by the fields named in ``_fields``."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._values()
+class _EncoderFields(NamedTuple):
+    strings: tuple[GateString, ...]
+    frame_width: int
 
 
-class PearlNecklace(_Record):
+class PearlNecklace(_EncoderFields):
     """An ordered succession of gate strings over frames of ``frame_width`` qubits.
 
     When ``frame_width`` is omitted it defaults to the largest qubit index
     used (at least 1).
     """
 
-    __slots__ = _fields = ("strings", "frame_width")
-    strings: tuple[GateString, ...]
-    frame_width: int
+    __slots__ = ()
 
-    def __init__(self, strings: Iterable[GateString], frame_width: int | None = None) -> None:
+    def __new__(
+        cls, strings: Iterable[GateString], frame_width: int | None = None
+    ) -> "PearlNecklace":
         strings = tuple(strings)
         if frame_width is None:
             frame_width = max((max(g.source, g.target) for g in strings), default=1)
@@ -121,8 +95,11 @@ class PearlNecklace(_Record):
                     f"gate string {k} ({g.notation()}) references a qubit beyond "
                     f"frame_width {frame_width}"
                 )
-        object.__setattr__(self, "strings", strings)
-        object.__setattr__(self, "frame_width", frame_width)
+        return tuple.__new__(cls, (strings, frame_width))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "PearlNecklace":  # _replace validates too
+        return cls(*iterable)
 
     @classmethod
     def from_tuples(

@@ -4,9 +4,10 @@
 graph: both renderings read the vertex and edge counts and the critical path
 off the :class:`LongestPath`.  The graph is built only when ``report.graph``
 is first read; DOT output streams without it.  :class:`AnalysisReport` is a
-slotted class rather than a tuple so that this cache stays out of its
-equality.  The report holds only the analysis; a checking subcommand's
-result reaches the JSON through ``to_json``'s ``verification`` argument.
+``NamedTuple`` record like the package's others; it keeps that cache in its
+instance dict, outside the tuple and so outside its equality.  The report
+holds only the analysis; a checking subcommand's result reaches the JSON
+through ``to_json``'s ``verification`` argument.
 
 ``to_json`` writes every field of the report, its three O(N) arrays
 and a check's flat ``verification`` dict included, from f-string templates:
@@ -18,6 +19,9 @@ do not import ``json``.
 
 from __future__ import annotations
 
+from functools import cached_property
+from typing import NamedTuple
+
 from .assignment import (
     FrameAssignment,
     LongestPath,
@@ -25,37 +29,45 @@ from .assignment import (
     longest_path_linear,
 )
 from .graph import START, CommutativityGraph, build_graph
-from .model import PearlNecklace, _Record
+from .model import PearlNecklace
 
 
-class AnalysisReport(_Record):
-    """The encoder, its longest path and its frame assignment.  The graph
-    cache takes no part in equality."""
-
-    _fields = ("encoder", "search", "assignment")
-    __slots__ = (*_fields, "_graph")
+class _ReportFields(NamedTuple):
     encoder: PearlNecklace
     search: LongestPath
     assignment: FrameAssignment
 
-    def __init__(
-        self,
+
+class AnalysisReport(_ReportFields):
+    """The encoder, its longest path and its frame assignment.  The graph
+    cache lives in the instance dict, outside the tuple, so it takes no part
+    in equality, and copies and pickles drop it."""
+
+    def __new__(
+        cls,
         encoder: PearlNecklace,
         search: LongestPath,
         assignment: FrameAssignment,
         graph: CommutativityGraph | None = None,
-    ) -> None:
-        object.__setattr__(self, "encoder", encoder)
-        object.__setattr__(self, "search", search)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "_graph", graph)
+    ) -> "AnalysisReport":
+        self = tuple.__new__(cls, (encoder, search, assignment))
+        if graph is not None:
+            self.__dict__["graph"] = graph
+        return self
 
-    @property
+    @cached_property
     def graph(self) -> CommutativityGraph:
         """The commutativity graph, as given or built on first use."""
-        if self._graph is None:
-            object.__setattr__(self, "_graph", build_graph(self.encoder))
-        return self._graph
+        return build_graph(self.encoder)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)
 
 
 def analyze(enc: PearlNecklace) -> AnalysisReport:

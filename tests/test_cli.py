@@ -548,6 +548,16 @@ def test_a_dot_file_whose_reader_leaves_early_is_an_error(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_dot_file_that_cannot_be_written_names_it(capsys):
+    # The same device as stdout gives a line that says which stream failed.
+    for argv in (["analyze", EXAMPLE1, "--dot", "/dev/full"], ["dot", EXAMPLE1, "-o", "/dev/full"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == "error: /dev/full: No space left on device\n", argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_a_full_stdout_is_one_error_line(unbuffered):
     # Block-buffered, the text fails at main's flush and would fail again at

@@ -227,6 +227,24 @@ def test_minimal_means_minimal_under_the_pair_rule():
     for frames in (40, 61, 80):
         assert realization_check(enc, lower, frames)["interior_equal"], frames
 
+    # With a != b in every string and no string repeated: the paths 2->1->2
+    # and 2->3->2 both have delay D^-3, so the reorder terms of the two
+    # broken target-source pairs, (1,3) and (2,4), cancel mod 2.
+    enc = make_encoder([(2, 1, -1), (2, 3, -1), (1, 2, -2), (3, 2, -2)], 3)
+    fa = frame_assignment(enc)
+    assert fa.memory == 3
+    assert brute_force_min_memory(enc, bound=4) == 3
+    lower = fa._replace(sigma=(0, 0, 0, 0), tau=(1, 1, 2, 2), memory=2, memory_qubits=6)
+    assert not satisfies_constraints(enc, lower)
+    assert realization_check(enc, lower) == {"frames": 15, "interior_equal": True, "margin": 5}
+    for frames in (40, 61, 80, 200):
+        assert realization_check(enc, lower, frames)["interior_equal"], frames
+    gates = conv_encoder_gates(enc, lower)
+    dense = [dense_pearl_matrix(enc, 60), dense_conv_matrix(enc, gates, 2, 60)]
+    lo, hi = 20 * 3, 40 * 3
+    pearl, conv = ([row[lo:hi] for row in matrix[lo:hi]] for matrix in dense)
+    assert pearl == conv
+
 
 def test_brute_check_matches_only_the_exact_memory():
     # The bound is memory + 1, so a wrong memory, or nothing found within

@@ -2,11 +2,13 @@
 value semantics of every public record."""
 
 import copy
+import pickle
 
 import pytest
 from conftest import COMMUTING_GATES, POS_GATES, encoders, gate_triples, make_encoder
 from hypothesis import given
 
+import pearlmem.report
 from pearlmem import (
     AnalysisReport,
     GateString,
@@ -157,7 +159,7 @@ def _public_records():
     return build(), build()
 
 
-def test_records_are_immutable_values():
+def test_records_are_immutable_values(monkeypatch):
     first, second = _public_records()
     for name, record in first.items():
         other = second[name]
@@ -190,3 +192,17 @@ def test_records_are_immutable_values():
         first["GateString"]._replace(target=2, degree=0)
     with pytest.raises(ValueError):
         first["Gf2Circuit"]._replace(frames=5)
+    enc = first["PearlNecklace"]
+    assert enc == (enc.strings, enc.frame_width)
+    with pytest.raises(ValueError):
+        enc._replace(frame_width=1)  # its strings use qubit 3
+
+    # Copies and pickles drop the cache, so each builds its graph again.
+    builds = []
+    monkeypatch.setattr(
+        pearlmem.report, "build_graph", lambda enc: builds.append(enc) or build_graph(enc)
+    )
+    report = second["AnalysisReport"]
+    assert report.graph == report.graph and len(builds) == 1
+    assert copy.copy(report).graph == report.graph and len(builds) == 2
+    assert pickle.loads(pickle.dumps(report)).graph == report.graph and len(builds) == 3

@@ -12,7 +12,7 @@ import pytest
 from conftest import POS_GATES, make_encoder
 
 import pearlmem
-from pearlmem import assignment, build_graph, model, report
+from pearlmem import assignment, build_graph, gf2, model, parser, report
 
 SRC = Path(pearlmem.__file__).parent
 
@@ -74,6 +74,18 @@ def test_names_the_benchmark_reads_exist():
     assert report.to_json(rep) == report.to_json(analyzed)
     assert report.to_text(rep) == report.to_text(analyzed)
     assert analyzed.graph == g
+    assert lp.relaxations == len(g.edges)
+    assert pearlmem.to_dot(g, enc) == pearlmem.to_dot(analyzed.graph, enc)
+    # verify's GF(2) layers: both circuits at margin 0, compared at the fitted margin.
+    frames = 18
+    pearl = gf2.pearl_matrix(enc, frames)
+    conv = gf2.conv_matrix(enc, assignment.conv_encoder_gates(enc, fa), fa.memory, frames)
+    assert gf2.interior_equal(pearl, conv, gf2.fitted_margin(enc, fa.memory, frames))
+    assert gf2.brute_force_min_memory(enc, fa.memory + 1) == fa.memory
+    # The harness renders its generated encoders and checks their assignments.
+    assert pearlmem.frame_assignment(enc) == fa
+    text = pearlmem.render(pearlmem.PearlNecklace.from_tuples(POS_GATES, frame_width=3))
+    assert parser.parse(parser.SourceText(text, name="x.pne")) == parser.parse(text) == enc
 
 
 def test_readme_library_block_runs(capsys):
