@@ -32,12 +32,11 @@ of one row XOR per frame.  The slice form is exact:
   written: along each residue class of frames mod l the string is a prefix
   XOR, one ``accumulate`` over a slice of step l*n.
 
-Both builders can simulate only the columns that a comparison at a given
-margin reads, starting from identity rows masked to those columns.  This is
-exact by linearity: a row XOR acts on each column separately, since
-(x ^ y) & mask == (x & mask) ^ (y & mask), so masking the start masks the
-result.  Such a circuit keeps only the interior rows, with the interior
-columns shifted down to bit 0 (see :class:`Gf2Circuit`).
+Both builders can simulate only some column frames, starting from identity
+rows masked to those columns and packed down to bit 0, and keep only the
+interior rows (see :class:`Gf2Circuit`).  This is exact by linearity: a row
+XOR acts on each column separately, since (x ^ y) & mask == (x & mask) ^
+(y & mask), so masking the start masks the result.
 
 Both builders then skip the row XORs that cannot change a kept entry, by
 dataflow alone.  Before simulating, the pearl-necklace builder makes two O(N)
@@ -52,7 +51,23 @@ skipped XOR either reads a row that is zero in every simulated column, so it
 changes nothing, or writes a row that no later XOR carries into a kept row,
 so nothing kept depends on it.  An interval may hold more frames than the
 exact set, which costs work but not exactness.  Neither builder relies on
-the pair rule, the graph, or the encoders being shift-invariant.
+the pair rule or the graph.
+
+:func:`realization_check` at margin M (I = F - 2M interior frames of w
+qubits) simulates only the columns of frames M and F-M-1, the band, when
+M >= max(m, fall) for the block memory m and :func:`_largest_fall`; else
+every interior column.  The verdict is the same bit.  Block offsets p < 0
+touch only frames below m and run first, offsets p >= F - m only frames from
+F - m on and run last, so with M >= m the convolutional interior is the
+infinite encoder's.  A pearl-necklace entry (r, c) sums the paths c -> r
+inside [0, F); one between interior frames that leaves the window falls by
+more than M along one stretch, which M >= fall excludes (a CNOT(a,a)(D^l)
+acts at most once on a path if l < 0, and only rises if l > 0).  Both
+infinite encoders are shift-invariant, so the interior difference is
+block-Toeplitz, D[r + w, c + w] = D[r, c], and frames M and F-M-1 see all
+its delays, 0..I-1 and -(I-1)..0.  For the core's own assignment fall <= L
+(a falling path is a chain of target-source edges of weights summing to
+fall + p_first + p_last), so default ``verify`` takes the band.
 
 Conventions: stream frames are numbered 0..F-1 in pearl-necklace order (frame
 0 first); the global index of qubit q in frame f is f*n + (q-1).  Window
@@ -71,6 +86,7 @@ from .model import PearlNecklace
 
 # Largest frames * frame_width simulated: a matrix holds up to that many bits
 # squared, 128 MiB at the limit.  The benchmark's widest window is 174 x 64.
+# It is unchanged while default ``verify`` holds rows of at most 2w bits.
 MAX_QUBITS = 1 << 15
 # Most gate strings brute-forced.  100 seeded N = 18 encoders per width 2-4
 # took at most 0.1, 0.5 and 12 s (341 MB peak; Python 3.11, 2 shared vCPUs).
@@ -85,10 +101,10 @@ class _CircuitFields(NamedTuple):
 
 
 class Gf2Circuit(_CircuitFields):
-    """Linear action of a CNOT circuit on F frames of ``frame_width`` qubits,
-    restricted to the qubits of frames margin..F-margin-1 (all of them at
-    margin 0): bit c of ``rows[r]`` is entry (lo + r, lo + c) of its matrix,
-    where lo = margin * frame_width."""
+    """Linear action of a CNOT circuit on F frames of ``frame_width`` (w) qubits,
+    restricted to the qubits of frames margin..F-margin-1 (all at margin 0): bit
+    c of ``rows[r]`` is entry (lo + r, lo + c), lo = margin * w.  A band circuit of
+    :func:`realization_check` keeps frames margin and F-margin-1 as bits 0..2w-1."""
 
     __slots__ = ()
 
@@ -131,11 +147,12 @@ def check_window(frames: int, frame_width: int, memory: int, margin: int) -> Non
     _check_margin(frames, margin)
 
 
-def _interior_identity(frames: int, frame_width: int, margin: int) -> list[int]:
-    """Identity rows restricted to the columns of frames margin..F-margin-1,
-    column lo = margin * frame_width held as bit 0."""
-    lo = margin * frame_width
-    return [0] * lo + [1 << c for c in range((frames - 2 * margin) * frame_width)] + [0] * lo
+def _identity(frames: int, n: int, columns: range) -> list[int]:
+    """Identity rows restricted to the columns of frames ``columns``, in order."""
+    rows = [0] * (frames * n)
+    for k, f in enumerate(columns):
+        rows[f * n : f * n + n] = [1 << c for c in range(k * n, k * n + n)]
+    return rows
 
 
 def _interior(frames: int, frame_width: int, rows: list[int], margin: int) -> Gf2Circuit:
@@ -191,9 +208,13 @@ def pearl_matrix(enc: PearlNecklace, frames: int, margin: int = 0) -> Gf2Circuit
     Raises ``ValueError`` as :func:`check_window` does for a block window of
     one frame.
     """
+    return _pearl_matrix(enc, frames, margin, range(margin, frames - margin))
+
+
+def _pearl_matrix(enc: PearlNecklace, frames: int, margin: int, columns: range) -> Gf2Circuit:
     n = enc.frame_width
     check_window(frames, n, 0, margin)
-    rows = _interior_identity(frames, n, margin)
+    rows = _identity(frames, n, columns)
     for (a, b, l), (first, last) in zip(enc.strings, _live_spans(enc, frames, margin)):
         if first > last:
             continue
@@ -229,6 +250,12 @@ def conv_matrix(
     Raises ``ValueError`` as :func:`check_window` does, and for a gate outside
     the window.
     """
+    return _conv_matrix(enc, gates, memory, frames, margin, range(margin, frames - margin))
+
+
+def _conv_matrix(
+    enc: PearlNecklace, gates: Sequence, memory: int, frames: int, margin: int, columns: range
+) -> Gf2Circuit:
     n = enc.frame_width
     check_window(frames, n, memory, margin)
     offsets = []  # the gate's source and target rows at block offset 0
@@ -236,7 +263,7 @@ def conv_matrix(
         if not (0 <= sigma <= memory and 0 <= tau <= memory):
             raise ValueError(f"block gate ({a},{b})({sigma},{tau}) outside window")
         offsets.append(((memory - sigma) * n + a - 1, (memory - tau) * n + b - 1))
-    rows = _interior_identity(frames, n, margin)
+    rows = _identity(frames, n, columns)
     # The block at offset p touches frames p..p+memory.  Below offset
     # margin - memory all of them are still zero; from offset frames - margin
     # on none of them is kept.
@@ -255,6 +282,15 @@ def conv_matrix(
     return _interior(frames, n, rows, margin)
 
 
+def _largest_fall(enc: PearlNecklace) -> int:
+    """The most frames a path through the strings, in order, can fall."""
+    down: dict[int, int] = {}
+    for a, b, l in enc.strings:
+        if a != b or l < 0:
+            down[b] = max(down.get(b, 0), down.get(a, 0) - l)
+    return max(down.values(), default=0)
+
+
 def default_margin(enc: PearlNecklace, memory: int) -> int:
     """Conservative number of boundary frames to ignore in comparisons."""
     return memory + max((abs(g.degree) for g in enc.strings), default=0) + 1
@@ -267,7 +303,8 @@ def fitted_margin(enc: PearlNecklace, memory: int, frames: int) -> int:
     ``example1.pne`` with gate string 1 raised one frame (sigma 2, tau 1,
     memory 3), which breaks a pair constraint, windows of 5 to 14 frames read
     TRUE (margins 2 to 6, interiors of 1 or 2 frames) and windows of 15 frames
-    or more read FALSE, the default window of 18 included.
+    or more read FALSE, the default window of 18 included.  A margin below the
+    memory can read FALSE for the core's own assignment (``example3``, 4-6 frames).
     """
     return min(default_margin(enc, memory), max((frames - 1) // 2, 0))
 
@@ -304,8 +341,11 @@ def realization_check(
         frames = 3 * default_margin(enc, fa.memory)
     margin = fitted_margin(enc, fa.memory, frames)
     check_window(frames, enc.frame_width, fa.memory, margin)
-    pearl = pearl_matrix(enc, frames, margin)
-    conv = conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames, margin)
+    columns = range(margin, frames - margin)
+    if margin >= max(fa.memory, _largest_fall(enc)):  # the band: first and last frame
+        columns = columns[:: max(len(columns) - 1, 1)]
+    pearl = _pearl_matrix(enc, frames, margin, columns)
+    conv = _conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames, margin, columns)
     equal = interior_equal(pearl, conv, margin)
     return {"frames": frames, "interior_equal": equal, "margin": margin}
 

@@ -18,7 +18,15 @@ from pearlmem import (
     PearlNecklace,
     SourceText,
 )
-from pearlmem.gf2 import Gf2Circuit
+from pearlmem.assignment import FrameAssignment, conv_encoder_gates
+from pearlmem.gf2 import (
+    Gf2Circuit,
+    conv_matrix,
+    default_margin,
+    fitted_margin,
+    interior_equal,
+    pearl_matrix,
+)
 from pearlmem.graph import START
 from pearlmem.model import constraint_set
 from pearlmem.parser import RESERVED_GATES
@@ -181,6 +189,17 @@ def interior_block(full: Gf2Circuit, margin: int) -> Gf2Circuit:
     width = (1 << (hi - lo)) - 1
     rows = tuple((row >> lo) & width for row in full.rows[lo:hi])
     return Gf2Circuit(full.frames, full.frame_width, rows, margin)
+
+
+def interior_verdict(enc: PearlNecklace, fa: FrameAssignment, frames: int | None = None) -> bool:
+    """What ``realization_check`` must read: both builders over every
+    interior column at the fitted margin, compared by ``interior_equal``."""
+    if frames is None:
+        frames = 3 * default_margin(enc, fa.memory)
+    margin = fitted_margin(enc, fa.memory, frames)
+    pearl = pearl_matrix(enc, frames, margin)
+    conv = conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames, margin)
+    return interior_equal(pearl, conv, margin)
 
 
 def gf2_rank(rows) -> int:

@@ -18,6 +18,7 @@ from conftest import (
     dense_rows,
     gf2_rank,
     interior_block,
+    interior_verdict,
     is_invertible,
     make_encoder,
     pearl_matrix_per_frame,
@@ -26,9 +27,10 @@ from conftest import (
 
 import pearlmem.gf2
 from pearlmem import PearlNecklace, frame_assignment, render
-from pearlmem.assignment import conv_encoder_gates, satisfies_constraints
+from pearlmem.assignment import FrameAssignment, conv_encoder_gates, satisfies_constraints
 from pearlmem.gf2 import (
     Gf2Circuit,
+    _largest_fall,
     brute_check,
     brute_force_min_memory,
     check_window,
@@ -377,6 +379,149 @@ def test_builders_match_per_frame_references():
                 corrupted_false += corrupt and not verdict
     assert chains > 50 and long_degrees > 50 and corrupted_false > 50
     assert verdicts[True] > 200 and verdicts[False] > 200
+
+
+def _low_memory(rng, enc, fa):
+    """A random assignment whose memory lies between max|l| and the core's."""
+    top = max((abs(g.degree) for g in enc.strings), default=0)
+    budget = rng.randint(top, max(top, fa.memory))
+    sigma, tau = [], []
+    for _, _, l in enc.strings:
+        w = rng.randint(0, budget - abs(l))
+        sigma.append(w + max(l, 0))
+        tau.append(w + max(-l, 0))
+    memory = max(sigma + tau, default=0)
+    return fa._replace(
+        sigma=tuple(sigma), tau=tuple(tau), memory=memory, memory_qubits=memory * enc.frame_width
+    )
+
+
+def test_band_verdict_equals_the_interior_verdict():
+    """``realization_check`` simulates only two column frames when its margin
+    is at least max(memory, fall), and must read what every interior column
+    reads.  The assignments are the core's, shifted, corrupted and random
+    low-memory ones; the windows are the default, twice it, and a random one
+    from memory + 1 up."""
+    rng = random.Random(24)
+    seen = {}  # (band taken, verdict) -> count
+    for i in range(1600):
+        enc = _chained_encoder(rng) if i % 2 else random_encoder(rng)
+        fa = frame_assignment(enc)
+        assignments = [fa, _low_memory(rng, enc, fa)]
+        if enc.strings:
+            k = rng.randrange(len(enc.strings))
+            assignments.append(_shifted(enc, fa, k, rng.choice((1, -1))))
+            gates = _corrupted(rng, conv_encoder_gates(enc, fa), fa.memory)
+            _, _, sigma, tau = zip(*gates)
+            assignments.append(fa._replace(sigma=sigma, tau=tau))
+        for moved in filter(None, assignments):
+            default = 3 * default_margin(enc, moved.memory)
+            for frames in (None, 2 * default, rng.randint(moved.memory + 1, default)):
+                result = realization_check(enc, moved, frames)
+                assert result["interior_equal"] == interior_verdict(enc, moved, frames), (
+                    render(enc), moved, frames
+                )
+                band = result["margin"] >= max(moved.memory, _largest_fall(enc))
+                key = (band, result["interior_equal"])
+                seen[key] = seen.get(key, 0) + 1
+    assert seen == {(True, True): 8207, (True, False): 7366, (False, True): 522, (False, False): 678}
+
+    # Chains on one qubit whose fall exceeds the margin: both interiors read
+    # FALSE, and the band alone would read TRUE, so the guard is needed.
+    # Seeded sweeps find such a case about once in 15 000 tries.
+    cases = [
+        ([(1, 1, 5), (1, 1, -6), (1, 1, -5), (1, 1, -6)], (9, 2, 1, 2), (4, 8, 6, 8), 17, 48, 16),
+        ([(1, 1, 6), (1, 1, -5), (1, 1, -6), (1, 1, -5)], (7, 1, 1, 0), (1, 6, 7, 5), 16, 42, 14),
+        ([(1, 1, -2), (1, 1, -6), (1, 1, -6), (1, 1, -1), (1, 1, 1)],
+         (1, 0, 0, 4, 3), (3, 6, 6, 5, 2), 15, 39, 13),
+    ]
+    for gates, sigma, tau, fall, frames, margin in cases:
+        enc = make_encoder(gates, 1)
+        memory = max(sigma + tau)
+        fa = FrameAssignment(sigma, tau, memory, memory)
+        assert _largest_fall(enc) == fall > margin >= memory
+        result = realization_check(enc, fa)
+        assert result == {"frames": frames, "interior_equal": False, "margin": margin}
+        assert not interior_verdict(enc, fa)
+        columns = range(margin, frames - margin, frames - 2 * margin - 1)  # the band
+        band = pearlmem.gf2._pearl_matrix(enc, frames, margin, columns)
+        block = conv_encoder_gates(enc, fa)
+        band_conv = pearlmem.gf2._conv_matrix(enc, block, memory, frames, margin, columns)
+        assert interior_equal(band, band_conv, margin)
+
+
+def test_largest_fall():
+    assert _largest_fall(PearlNecklace((), 3)) == 0
+    assert _largest_fall(make_encoder([(1, 1, 3), (2, 2, 1), (1, 1, 2)], 2)) == 0
+    assert _largest_fall(make_encoder([(1, 1, -2)] * 4, 1)) == 8
+    # The a != b example of test_minimal_means_minimal_under_the_pair_rule:
+    # 2 -> 1 -> 2 falls 1 + 2 frames.
+    assert _largest_fall(make_encoder([(2, 1, -1), (2, 3, -1), (1, 2, -2), (3, 2, -2)], 3)) == 3
+    # 1 -> 2 -> 3 -> 1 falls 2 - 1 + 3 frames; the chain CNOT(2,2)(D^4) only
+    # rises, so no path takes it.
+    assert _largest_fall(make_encoder([(1, 2, -2), (2, 2, 4), (2, 3, 1), (3, 1, -3)], 3)) == 4
+
+
+def _is_block_toeplitz(circuit):
+    """Entry (r, c) equals entry (r + w, c + w) wherever both lie inside."""
+    w = circuit.frame_width
+    inner = (1 << (len(circuit.rows) - w)) - 1
+    rows = circuit.rows
+    return all(rows[r] & inner == (rows[r + w] >> w) & inner for r in range(len(rows) - w))
+
+
+def test_fall_bounds_and_shift_invariant_interiors():
+    """The core's own assignment has fall <= memory, and wherever the margin
+    is at least max(memory, fall) both interiors are block-Toeplitz: the
+    premise of the band in ``realization_check``.  Below that margin some
+    interiors are not."""
+    rng = random.Random(2406)
+    toeplitz = 0
+    not_toeplitz = {"pearl": 0, "conv": 0}
+    for i in range(2000):
+        enc = _chained_encoder(rng) if i % 2 else random_encoder(rng)
+        fa = frame_assignment(enc)
+        fall = _largest_fall(enc)
+        assert fall <= fa.memory, render(enc)
+        moved = _low_memory(rng, enc, fa)
+        for memory, gates in (
+            (fa.memory, conv_encoder_gates(enc, fa)),
+            (moved.memory, conv_encoder_gates(enc, moved)),
+        ):
+            frames = rng.randint(memory + 1, 3 * default_margin(enc, memory))
+            margin = fitted_margin(enc, memory, frames)
+            pearl = _is_block_toeplitz(pearl_matrix(enc, frames, margin))
+            conv = _is_block_toeplitz(conv_matrix(enc, gates, memory, frames, margin))
+            if margin >= max(memory, fall):
+                assert pearl and conv, (render(enc), gates, frames)
+                toeplitz += 1
+            else:
+                not_toeplitz["pearl"] += not pearl
+                not_toeplitz["conv"] += not conv
+    assert (toeplitz, not_toeplitz) == (3234, {"pearl": 59, "conv": 90})
+
+
+@pytest.mark.parametrize("width, frames", [(4, 744), (64, 174)])
+def test_benchmark_verify_shapes_take_the_band(monkeypatch, width, frames):
+    """The benchmark's verify calls (N = 500 at width 4 in 744 frames, N =
+    1000 at width 64 in 174 frames) must simulate two column frames, not
+    every interior column: each row holds at most 2 * width bits."""
+    n = {4: 500, 64: 1000}[width]
+    enc = make_encoder(seeded_gates(random.Random(1), n, width, 3), width)
+    fa = frame_assignment(enc)
+    compared = []
+    real = pearlmem.gf2.interior_equal
+
+    def capture(a, b, margin):
+        compared.append((a, b))
+        return real(a, b, margin)
+
+    monkeypatch.setattr(pearlmem.gf2, "interior_equal", capture)
+    result = realization_check(enc, fa, frames)
+    assert result["interior_equal"] and result["margin"] >= fa.memory
+    assert (result["frames"] - 2 * result["margin"]) > 2  # the band is narrower
+    [(pearl, conv)] = compared
+    assert all(row < 1 << 2 * width for row in pearl.rows + conv.rows)
 
 
 @pytest.mark.parametrize("width", [4, 64])
