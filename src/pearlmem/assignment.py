@@ -21,7 +21,6 @@ whose weights sum to the memory bounds it from below.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 from .graph import START, CommutativityGraph
@@ -106,9 +105,9 @@ def longest_path_linear(enc: PearlNecklace) -> LongestPath:
     sigma_arg: dict[int, int] = {}  # lowest ordinal attaining sigma_max
     tau_max: dict[int, int] = {}  # T by target qubit
     tau_arg: dict[int, int] = {}
-    src_count: Counter[int] = Counter()
-    tgt_count: Counter[int] = Counter()
-    pair_count: Counter[tuple[int, int, bool]] = Counter()  # (source, target, l >= 0)
+    src_count: dict[int, int] = {}
+    tgt_count: dict[int, int] = {}
+    pair_count: dict[tuple[int, int, bool], int] = {}  # (source, target, l >= 0)
     weights: list[int] = []
     pred = [START] * (n + 1)
     end_weight, end_pred = -1, START
@@ -117,11 +116,11 @@ def longest_path_linear(enc: PearlNecklace) -> LongestPath:
     for j, (a, b, l) in enumerate(enc.strings, start=1):
         p, q = max(l, 0), max(-l, 0)
         w, via = 0, START
-        if src_count[b]:
+        if b in src_count:
             relaxations += 1
             if sigma_max[b] - q > w:
                 w, via = sigma_max[b] - q, sigma_arg[b]
-        if tgt_count[a]:
+        if a in tgt_count:
             relaxations += 1
             reach = tau_max[a] - p
             if reach > w or (reach == w > 0 and tau_arg[a] < via):
@@ -131,14 +130,14 @@ def longest_path_linear(enc: PearlNecklace) -> LongestPath:
         if w + p + q > end_weight:
             end_weight, end_pred = w + p + q, j
 
-        edge_count += src_count[b] + tgt_count[a] - pair_count[b, a, l >= 0]
+        edge_count += src_count.get(b, 0) + tgt_count.get(a, 0) - pair_count.get((b, a, l >= 0), 0)
         if w + p > sigma_max.get(a, -1):
             sigma_max[a], sigma_arg[a] = w + p, j
         if w + q > tau_max.get(b, -1):
             tau_max[b], tau_arg[b] = w + q, j
-        src_count[a] += 1
-        tgt_count[b] += 1
-        pair_count[a, b, l >= 0] += 1
+        src_count[a] = src_count.get(a, 0) + 1
+        tgt_count[b] = tgt_count.get(b, 0) + 1
+        pair_count[a, b, l >= 0] = pair_count.get((a, b, l >= 0), 0) + 1
 
     verts = [n + 1]
     cur = end_pred

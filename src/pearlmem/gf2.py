@@ -20,7 +20,7 @@ not parameters.
 A matrix is held as its rows, each a Python int used as a bitmask: bit c of
 row r is entry (r, c).  A CNOT from global qubit s to t XORs row s into row t.
 
-The pearl-necklace builder applies each gate string CNOT(a,b)(D^l) as one
+:func:`pearl_matrix` applies each gate string CNOT(a,b)(D^l) as one
 strided-slice operation over the rows of qubit a and qubit b, step n, instead
 of one row XOR per frame.  The slice form is exact:
 
@@ -38,20 +38,23 @@ interior rows (see :class:`Gf2Circuit`).  This is exact by linearity: a row
 XOR acts on each column separately, since (x ^ y) & mask == (x & mask) ^
 (y & mask), so masking the start masks the result.
 
-Both builders then skip the row XORs that cannot change a kept entry, by
-dataflow alone.  Before simulating, the pearl-necklace builder makes two O(N)
-passes over the strings: a forward pass keeps, per qubit, the interval of
-frames whose rows can be nonzero in the simulated columns, and a backward
-pass the interval of frames whose rows can still be carried into a kept row.
-Each string's slice, and each prefix-XOR chain, is cut to the source frames
-that lie in both.  The convolutional builder skips the block offsets whose
-frames are all still zero or all dropped, and applies the block to a sliding
-window of ``memory + 1`` frames at fixed row indices.  The cut is exact: a
-skipped XOR either reads a row that is zero in every simulated column, so it
-changes nothing, or writes a row that no later XOR carries into a kept row,
-so nothing kept depends on it.  An interval may hold more frames than the
-exact set, which costs work but not exactness.  Neither builder relies on
-the pair rule or the graph.
+:func:`realization_check` builds the pearl-necklace side in shift form: x[q]
+holds the rows of qubit q, frame f at bits f*step.., with step the simulated
+columns' bits rounded up to whole bytes.  A string moves every frame at once,
+with full = (1 << F*step) - 1:
+
+- l < 0: x[b] ^= x[a] >> -l*step reads the old x[a], as the slice form reads
+  every source row first, and the targets below frame 0 fall off;
+- l >= 0 and a != b: x[b] ^= (x[a] << l*step) & full drops the targets from
+  frame F on;
+- a == b and l > 0: the prefix XOR by doubling, x[a] ^= (x[a] << k*step) &
+  full for k = l, 2l, 4l, ... < F.
+
+Its cost follows the bits it simulates, so it suits two column frames, and
+the slice form every interior column.  The convolutional builder skips the
+block offsets whose frames are all still zero or all dropped, exact by
+dataflow, and applies the block to a sliding window of ``memory + 1`` frames
+at fixed row indices.  Neither builder relies on the pair rule or the graph.
 
 :func:`realization_check` at margin M (I = F - 2M interior frames of w
 qubits) simulates only the columns of frames M and F-M-1, the band, when
@@ -160,78 +163,58 @@ def _interior(frames: int, frame_width: int, rows: list[int], margin: int) -> Gf
     return Gf2Circuit(frames, frame_width, tuple(rows[lo : len(rows) - lo]), margin)
 
 
-def _live_spans(enc: PearlNecklace, frames: int, margin: int) -> list[tuple[int, int]]:
-    """Per gate string, the first and last source frame whose gate can change
-    an entry that a builder at ``margin`` keeps (first > last when none can).
-
-    A forward pass keeps, per qubit, the frames whose rows can be nonzero in
-    the simulated columns when each string runs; a backward pass keeps the
-    frames whose rows can still be carried into a kept row after it runs.  A
-    span is the string's in-range source frames cut to both.  Each interval
-    is the hull of what it gains, so it only ever holds more frames than the
-    exact sets, never fewer.
-    """
-    last = frames - 1
-    lo, hi = [margin] * enc.frame_width, [last - margin] * enc.frame_width
-    nonzero = []  # the source qubit's nonzero frames before each string
-    for a, b, l in enc.strings:
-        s0, s1 = lo[a - 1], hi[a - 1]
-        nonzero.append((s0, s1))
-        if a == b and l > 0:
-            if s0 + l <= last:
-                hi[a - 1] = last  # the prefix XOR carries it upwards
-            continue
-        s0, s1 = max(s0, -l), min(s1, last - l)
-        if s0 <= s1:
-            lo[b - 1], hi[b - 1] = min(lo[b - 1], s0 + l), max(hi[b - 1], s1 + l)
-    lo, hi = [margin] * enc.frame_width, [last - margin] * enc.frame_width
-    spans = []
-    for (a, b, l), (s0, s1) in zip(reversed(enc.strings), reversed(nonzero)):
-        if a == b and l > 0:
-            s1 = hi[a - 1]  # a chain element feeds every later one
-        else:
-            s0, s1 = max(s0, -l, lo[b - 1] - l), min(s1, last - l, hi[b - 1] - l)
-        spans.append((s0, s1))
-        if s0 <= s1:
-            lo[a - 1], hi[a - 1] = min(lo[a - 1], s0), max(hi[a - 1], s1)
-    spans.reverse()
-    return spans
-
-
 def pearl_matrix(enc: PearlNecklace, frames: int, margin: int = 0) -> Gf2Circuit:
     """Truncate the pearl-necklace encoder to ``frames`` frames.
 
     Gate strings are applied in order; within a string, frames ascend.  Gates
     whose partner frame falls outside [0, frames) are dropped.  Only the
-    columns :func:`interior_equal` reads at ``margin`` are simulated, and only
-    the gates that can change a kept entry; margin 0 gives the full matrix.
-    Raises ``ValueError`` as :func:`check_window` does for a block window of
-    one frame.
+    columns :func:`interior_equal` reads at ``margin`` are simulated; margin 0
+    gives the full matrix.  Raises ``ValueError`` as :func:`check_window` does
+    for a block window of one frame.
     """
-    return _pearl_matrix(enc, frames, margin, range(margin, frames - margin))
-
-
-def _pearl_matrix(enc: PearlNecklace, frames: int, margin: int, columns: range) -> Gf2Circuit:
     n = enc.frame_width
     check_window(frames, n, 0, margin)
-    rows = _identity(frames, n, columns)
-    for (a, b, l), (first, last) in zip(enc.strings, _live_spans(enc, frames, margin)):
-        if first > last:
-            continue
+    rows = _identity(frames, n, range(margin, frames - margin))
+    for a, b, l in enc.strings:
+        if abs(l) >= frames:
+            continue  # every gate of the string straddles the window
         if a == b and l > 0:
-            # Frame s+l reads frame s after frame s has been written: a
-            # prefix XOR along each residue class of frames mod l.
-            stop = last * n + a
-            for r in range(first, min(first + l, last + 1)):
-                chain = slice(r * n + a - 1, stop, l * n)
+            for r in range(l):  # a prefix XOR per residue class of frames mod l
+                chain = slice(r * n + a - 1, None, l * n)
                 rows[chain] = accumulate(rows[chain], xor)
             continue
-        # Every source row is read before its string writes it (a != b, or
-        # a == b and l < 0).
+        first, last = max(0, -l), min(frames, frames - l) - 1
         src = slice(first * n + a - 1, last * n + a, n)
         dst = slice((first + l) * n + b - 1, (last + l) * n + b, n)
         rows[dst] = map(xor, rows[dst], rows[src])
     return _interior(frames, n, rows, margin)
+
+
+def _pearl_matrix(enc: PearlNecklace, frames: int, margin: int, columns: range) -> Gf2Circuit:
+    """:func:`pearl_matrix` over the column frames ``columns``, in shift form."""
+    n = enc.frame_width
+    check_window(frames, n, 0, margin)
+    size = -(-len(columns) * n // 8)  # bytes per frame
+    step, full = 8 * size, (1 << frames * size * 8) - 1
+    start = bytearray(frames * size)  # qubit 1's identity rows
+    for k, f in enumerate(columns):
+        bit = f * step + k * n
+        start[bit >> 3] |= 1 << (bit & 7)
+    x = [int.from_bytes(start, "little") << q for q in range(n)]
+    for a, b, l in enc.strings:
+        a, b = a - 1, b - 1
+        if l < 0:
+            x[b] ^= x[a] >> -l * step
+        elif a != b:
+            x[b] ^= (x[a] << l * step) & full
+        else:
+            while l < frames:  # the prefix XOR by doubling
+                x[a] ^= (x[a] << l * step) & full
+                l *= 2
+    out = [v.to_bytes(frames * size, "little") for v in x]
+    kept = range(margin * size, (frames - margin) * size, size)
+    rows = tuple(int.from_bytes(v[i : i + size], "little") for i in kept for v in out)
+    return Gf2Circuit(frames, n, rows, margin)
 
 
 def conv_matrix(

@@ -154,9 +154,9 @@ def build_graph_nonpositive(enc: PearlNecklace) -> CommutativityGraph:
 
 
 # Per-frame GF(2) references: one row XOR per gate per frame, in the gate and
-# frame order that the slice builders of pearlmem.gf2 must reproduce.  Full
-# matrices (margin 0) only; interior_block cuts out what a builder returns at
-# a margin.
+# frame order that the builders of pearlmem.gf2 must reproduce.  Full matrices
+# (margin 0) only; interior_block cuts out what a builder returns at a margin,
+# and column_frames what the shift form returns over fewer column frames.
 
 
 def pearl_matrix_per_frame(enc: PearlNecklace, frames: int) -> Gf2Circuit:
@@ -189,6 +189,19 @@ def interior_block(full: Gf2Circuit, margin: int) -> Gf2Circuit:
     width = (1 << (hi - lo)) - 1
     rows = tuple((row >> lo) & width for row in full.rows[lo:hi])
     return Gf2Circuit(full.frames, full.frame_width, rows, margin)
+
+
+def column_frames(circuit: Gf2Circuit, columns: range) -> Gf2Circuit:
+    """A circuit built at its margin, with its rows restricted to the columns
+    of frames ``columns`` and packed from bit 0, as ``_pearl_matrix`` over
+    those columns returns it."""
+    w = circuit.frame_width
+    shifts = [(f - circuit.margin) * w for f in columns]
+    rows = tuple(
+        sum(((row >> s) & ((1 << w) - 1)) << k * w for k, s in enumerate(shifts))
+        for row in circuit.rows
+    )
+    return circuit._replace(rows=rows)
 
 
 def interior_verdict(enc: PearlNecklace, fa: FrameAssignment, frames: int | None = None) -> bool:

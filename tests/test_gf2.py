@@ -11,6 +11,7 @@ from conftest import (
     NEG_GATES,
     POS_GATES,
     brute_force_reference,
+    column_frames,
     conv_matrix_per_frame,
     dense_conv_matrix,
     dense_pearl_matrix,
@@ -26,7 +27,7 @@ from conftest import (
 )
 
 import pearlmem.gf2
-from pearlmem import PearlNecklace, frame_assignment, render
+from pearlmem import PearlNecklace, corpus_path, frame_assignment, parse, render
 from pearlmem.assignment import FrameAssignment, conv_encoder_gates, satisfies_constraints
 from pearlmem.gf2 import (
     Gf2Circuit,
@@ -332,7 +333,7 @@ def _corrupted(rng, gates, memory):
 
 
 def test_builders_match_per_frame_references():
-    """At margin 0 the slice builders give the per-frame and dense matrices;
+    """At margin 0 the public builders give the per-frame and dense matrices;
     at every valid margin they give those matrices' interior block, and every
     comparison the block allows agrees with the full matrices.  The seeded
     encoders include chains of both signs, degrees beyond the window, one-frame
@@ -505,7 +506,8 @@ def test_fall_bounds_and_shift_invariant_interiors():
 def test_benchmark_verify_shapes_take_the_band(monkeypatch, width, frames):
     """The benchmark's verify calls (N = 500 at width 4 in 744 frames, N =
     1000 at width 64 in 174 frames) must simulate two column frames, not
-    every interior column: each row holds at most 2 * width bits."""
+    every interior column: each row holds at most 2 * width bits.  Neither
+    they nor a window below the guard run the slice builder."""
     n = {4: 500, 64: 1000}[width]
     enc = make_encoder(seeded_gates(random.Random(1), n, width, 3), width)
     fa = frame_assignment(enc)
@@ -516,19 +518,27 @@ def test_benchmark_verify_shapes_take_the_band(monkeypatch, width, frames):
         compared.append((a, b))
         return real(a, b, margin)
 
+    def refuse(*args):
+        raise AssertionError("slice builder called")
+
     monkeypatch.setattr(pearlmem.gf2, "interior_equal", capture)
+    monkeypatch.setattr(pearlmem.gf2, "pearl_matrix", refuse)
     result = realization_check(enc, fa, frames)
     assert result["interior_equal"] and result["margin"] >= fa.memory
     assert (result["frames"] - 2 * result["margin"]) > 2  # the band is narrower
     [(pearl, conv)] = compared
     assert all(row < 1 << 2 * width for row in pearl.rows + conv.rows)
+    # example1 at 6 frames: margin 2 < memory 3, so every interior column.
+    example = parse(corpus_path("example1.pne").read_text())
+    result = realization_check(example, frame_assignment(example), 6)
+    assert result == {"frames": 6, "interior_equal": True, "margin": 2}
 
 
 @pytest.mark.parametrize("width", [4, 64])
-def test_live_cone_builders_match_per_frame_references_at_scale(width):
-    """At N = 300 the builders skip most of the slice elements at the default
-    margin, yet give the interior block of the per-frame matrices at every
-    margin tried, for the derived block and for a corrupted one."""
+def test_builders_match_per_frame_references_at_scale(width):
+    """At N = 300 the builders give the interior block of the per-frame
+    matrices at every margin tried, for the derived block and for a corrupted
+    one, and the shift form gives its band."""
     rng = random.Random(300 + width)
     enc = make_encoder(seeded_gates(rng, 300, width, 3), width)
     fa = frame_assignment(enc)
@@ -539,9 +549,6 @@ def test_live_cone_builders_match_per_frame_references_at_scale(width):
     pearl = pearl_matrix_per_frame(enc, frames)
     conv = conv_matrix_per_frame(enc, block, fa.memory, frames)
     wrong_conv = conv_matrix_per_frame(enc, wrong, fa.memory, frames)
-    spans = pearlmem.gf2._live_spans(enc, frames, margin)
-    kept = sum(max(last - first + 1, 0) for first, last in spans)
-    assert kept < 0.8 * sum(frames - abs(l) for _, _, l in enc.strings)
     for m in (1, margin // 2, margin - 1, margin, (frames - 1) // 2):
         inner = pearl_matrix(enc, frames, m)
         inner_conv = conv_matrix(enc, block, fa.memory, frames, m)
@@ -549,9 +556,43 @@ def test_live_cone_builders_match_per_frame_references_at_scale(width):
         assert inner == interior_block(pearl, m)
         assert inner_conv == interior_block(conv, m)
         assert inner_wrong == interior_block(wrong_conv, m)
+        band = range(m, frames - m, max(frames - 2 * m - 1, 1))
+        assert pearlmem.gf2._pearl_matrix(enc, frames, m, band) == column_frames(inner, band)
         if m == margin:
             assert interior_equal(inner, inner_conv, m)
             assert not interior_equal(inner, inner_wrong, m)
+
+
+def test_shift_form_equals_the_slice_form():
+    """``_pearl_matrix`` over every interior column equals ``pearl_matrix``,
+    and over the band it equals those rows restricted to the band's column
+    frames.  Widths 1-9 and 64 give steps of 8, 16, 24 and 128 bits; degrees
+    reach past the window, chains of both signs occur, and the windows include
+    1 and 2 frames and bands of one frame."""
+    rng = random.Random(25)
+    steps, long_degrees, chains, one_frame_bands = set(), 0, 0, 0
+    for i in range(600):
+        if i % 3 == 0:
+            enc = _chained_encoder(rng)
+        else:
+            width = rng.choice((*range(1, 10), 64))
+            enc = make_encoder(seeded_gates(rng, rng.randint(0, 12), width, 8), width)
+        chains += any(a == b and l < 0 for a, b, l in enc.strings) and any(
+            a == b and l > 0 for a, b, l in enc.strings
+        )
+        for frames in (1, 2, rng.randint(3, 20)):
+            long_degrees += any(abs(l) >= frames for _, _, l in enc.strings)
+            for margin in range((frames + 1) // 2):
+                interior = range(margin, frames - margin)
+                inner = pearl_matrix(enc, frames, margin)
+                assert pearlmem.gf2._pearl_matrix(enc, frames, margin, interior) == inner
+                band = interior[:: max(len(interior) - 1, 1)]
+                shifted = pearlmem.gf2._pearl_matrix(enc, frames, margin, band)
+                assert shifted == column_frames(inner, band), (render(enc), frames, margin)
+                steps.add(-(-len(band) * enc.frame_width // 8) * 8)
+                one_frame_bands += len(band) == 1
+    assert {8, 16, 24, 128} <= steps
+    assert long_degrees > 1000 and chains > 200 and one_frame_bands > 800
 
 
 def test_interior_equal_rejects_mismatched_margins():
