@@ -12,7 +12,9 @@ text, then prints ``file: complaint`` on stderr, and turns every error into
 one line on stderr.  Every analysis runs the linear core.  ``dot`` and
 ``analyze --dot`` share one writer: it takes the edge count from the core,
 refuses a graph over ``graph.MAX_DOT_EDGES`` before writing anything, and
-streams the DOT text string by string without building the graph.
+writes the DOT text in batches without building the graph, holding at most
+one key list and one line list per repeated class of gate strings, none
+longer than its first string's edge list and freed after its last string.
 ``verify`` and ``brute-check`` run a ``gf2`` check, which works out its own
 margin or bound and makes its own refusals, and return the JSON report with
 the check's result under ``verification`` or a one-line result.

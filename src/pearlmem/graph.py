@@ -21,25 +21,29 @@ edge is drawn: for l_i >= 0 the target-source edge to each such j is dropped,
 and for l_i < 0 the source-target edge.  Mixed-sign pairs with both
 collisions get two parallel edges.
 
-One enumerator, ``_collisions``, finds the gate edges, string by string, in
-O(N + E) time for E edges.  The gate strings are bucketed by source qubit and
-by target qubit, so the later strings that collide with string i are read
+One enumerator, ``_collisions``, finds each string's out-edges in O(N + E)
+time for E edges.  The gate strings are bucketed by source qubit and by
+target qubit, so the later strings that collide with string i are read
 straight off the buckets of its qubits instead of being found among all
 N(N-1)/2 pairs; the graph's ``pair_inspections`` is that N(N-1)/2, derived
-from N.  It feeds both :func:`build_graph`, which holds the edges, and
-:func:`write_dot`, which streams the DOT text of one string at a time and so
-holds O(N) and not O(E) (see ``_collisions``).  The analysis does not need
-the graph: because the weights separate, ``assignment.longest_path_linear``
-reads the same longest path, and the edge count, off running maxima per
-qubit.  The graph is built as the oracle that the linear search is checked
-against.
+from N.  Strings of one class (a, b, l) collide alike, so a class's edge list
+is found once, at its first string, and each later string takes its tail.
+The enumerator feeds both :func:`build_graph`, which holds the edges, and
+:func:`write_dot`, which writes the DOT text in batches and holds no edges:
+at most one key list and one line list per repeated class, none longer than
+its first string's edge list and freed after its last string, and the text
+of each distinct edge key, which is O(N) for bounded degrees (see
+``_collisions``).  The analysis does not need the graph: because the
+weights separate, ``assignment.longest_path_linear`` reads the same longest
+path, and the edge count, off running maxima per qubit.  The graph is built
+as the oracle that the linear search is checked against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import NamedTuple, TextIO
 
 from .model import GateString, PearlNecklace
@@ -48,6 +52,10 @@ START = 0
 # Most edges written as DOT, at about 27 bytes an edge line about 270 MB; a
 # seeded N = 10^5, width-4 encoder has 2.3e9 edges and would need about 63 GB.
 MAX_DOT_EDGES = 10**7
+# Characters of DOT text that write_dot gathers before each write: far fewer
+# writes than one per string, while the text, its encoding and the copy
+# behind a file stay small enough to be cheap to allocate and to cache.
+DOT_BATCH = 1 << 16
 
 
 class CommutativityGraph(NamedTuple):
@@ -69,28 +77,39 @@ class CommutativityGraph(NamedTuple):
 
 
 def _span(strings: Sequence[GateString]) -> int:
-    """max |l|, which bounds the weight of every gate edge."""
+    """max |l|, which bounds the weight of every edge."""
     return max((abs(l) for _, _, l in strings), default=0)
 
 
 def _collisions(
-    strings: Sequence[GateString], span: int
-) -> Iterator[tuple[int, int, list[int]]]:
-    """Yield ``(i, l_i, keys)`` for each gate string i in order, ``keys``
-    being the ascending ``j * (2 * span + 1) + weight + span`` of its gate
-    edges i -> j; ``span`` is :func:`_span`.  A key repeats for two parallel
-    edges of equal weight.
+    strings: Sequence[GateString], span: int, render: Callable[[list[int]], list]
+) -> Iterator[tuple[int, list, int]]:
+    """Yield ``(i, items, start)`` for each gate string i in order, where
+    ``items[start:]`` are i's out-edges.  ``items`` is ``render(keys)`` for
+    the ascending keys ``j * (2 * span + 1) + weight + span`` of the
+    out-edges of the first string of i's class (a, b, l), the edge to END
+    last; ``span`` is :func:`_span`.  A key repeats for two parallel edges
+    of equal weight.
 
     Which later strings collide with i, and with what weight, depends only on
-    i's qubits, its offsets and its sign class.  So each list of keys is
-    computed once per qubit and offset (and, for the list that loses the
+    i's qubits, its offsets and its sign class.  So each run of keys is
+    computed once per qubit and offset (and, for the run that loses the
     same-sign doubles, per pair of qubits and sign), for the strings after
-    its first user; string i bisects its two lists at its own ordinal and
-    sorts their concatenation, which merges two ascending runs in C.  The
-    lists hold at most (max|l| + 1) copies of each bucket, plus one filtered
-    copy per (source, target, sign) kind: O(N) for bounded degrees and
-    frame width, and on seeded N = 1000 encoders 14 keys per string at
-    width 4 and 6 at width 64, against 234 and 16 edges.
+    its first user; the first string of a class bisects its two runs at its
+    own ordinal and sorts their concatenation, which merges two ascending
+    runs in C.  The runs hold at most (max|l| + 1) copies of each bucket,
+    plus one filtered copy per (source, target, sign) kind: O(N) for bounded
+    degrees and frame width, and on seeded N = 1000 encoders 14 keys per
+    string at width 4 and 6 at width 64, against 234 and 16 edges.
+
+    A class that repeats hands its first string's keys and items on to each
+    of its later strings in turn, and each takes the tail after itself by one
+    bisect; the last drops them.  That tail is the later string's own edge
+    list: the runs of the first string drop the same-sign doubles of every
+    reverse string that a later one would.  So at most one key list and one
+    item list are live per repeated class, none longer than its first
+    string's edge list, and a class of one string keeps nothing.  On the
+    seeded N = 1000, width-4 encoder 108 classes hold at most 45 000 keys.
     """
     width = 2 * span + 1
     n = len(strings)
@@ -98,42 +117,67 @@ def _collisions(
     q = [0] * (n + 1)
     by_source: defaultdict[int, list[int]] = defaultdict(list)
     by_target: defaultdict[int, list[int]] = defaultdict(list)
-    for k, (a, b, l) in enumerate(strings, start=1):
-        p[k], q[k] = max(l, 0), max(-l, 0)
+    later = [0] * (n + 1)  # the next string of the same class, 0 if none
+    previous: dict[GateString, int] = {}
+    for k, s in enumerate(strings, start=1):
+        a, b, l = s
+        if l > 0:
+            p[k] = l
+        else:
+            q[k] = -l
         by_source[a].append(k)
         by_target[b].append(k)
+        if s in previous:
+            later[previous[s]] = k
+        previous[s] = k
     kind = [None, *((a, b, l >= 0) for a, b, l in strings)]  # (source, target, sign)
     last = {c: k for k, c in enumerate(kind)}  # the last ordinal of each kind
 
     def run(bucket: list[int], i: int, offset: int, m: list[int], drop: tuple | None):
         """Keys ``j * width + offset - m[j]`` of the strings j after ``i`` in
         the ascending ``bucket``, except those of kind ``drop``."""
-        later = bucket[bisect_right(bucket, i):]
-        return [j * width + offset - m[j] for j in later if kind[j] != drop]
+        after = bucket[bisect_right(bucket, i):]
+        return [j * width + offset - m[j] for j in after if kind[j] != drop]
 
     st_runs: dict[tuple, list[int]] = {}  # a_i == b_j, weight p_i - q_j
     ts_runs: dict[tuple, list[int]] = {}  # b_i == a_j, weight q_i - p_j
+    held: list[tuple[list[int], list] | None] = [None] * (n + 1)  # by next user
+    end = (n + 1) * width + span  # the key of an edge to END, less its weight
     for i, (a, b, l) in enumerate(strings, start=1):
-        # Same-sign doubles keep only the dominant edge: the later reverse
-        # strings of i's sign class lose their target-source edge if l >= 0
-        # and their source-target edge otherwise.  Without any, i shares the
-        # unfiltered lists.
-        reverse = (b, a, l >= 0)
-        if last.get(reverse, 0) <= i:
-            reverse = None
-        st_key = (a, p[i], None if l >= 0 else reverse)
-        st = st_runs.get(st_key)
-        if st is None:
-            st = st_runs[st_key] = run(by_target[a], i, p[i] + span, q, st_key[2])
-        ts_key = (b, q[i], reverse if l >= 0 else None)
-        ts = ts_runs.get(ts_key)
-        if ts is None:
-            ts = ts_runs[ts_key] = run(by_source[b], i, q[i] + span, p, ts_key[2])
-        after = (i + 1) * width  # the smallest key of a string after i
-        keys = st[bisect_left(st, after):]
-        keys += ts[bisect_left(ts, after):]
-        keys.sort()
-        yield i, l, keys
+        handed = held[i]
+        if handed is not None:
+            held[i] = None
+            keys, items = handed
+            start = bisect_left(keys, (i + 1) * width)
+        else:
+            # Same-sign doubles keep only the dominant edge: the later reverse
+            # strings of i's sign class lose their target-source edge if
+            # l >= 0 and their source-target edge otherwise.  Without any, i
+            # shares the unfiltered runs.
+            nonnegative = l >= 0
+            reverse = (b, a, nonnegative)
+            if last.get(reverse, 0) <= i:
+                reverse = None
+            if nonnegative:
+                st_key, ts_key = (a, l, None), (b, 0, reverse)
+            else:
+                st_key, ts_key = (a, 0, reverse), (b, -l, None)
+            st = st_runs.get(st_key)
+            if st is None:
+                st = st_runs[st_key] = run(by_target[a], i, st_key[1] + span, q, st_key[2])
+            ts = ts_runs.get(ts_key)
+            if ts is None:
+                ts = ts_runs[ts_key] = run(by_source[b], i, ts_key[1] + span, p, ts_key[2])
+            after = (i + 1) * width  # the smallest key of a string after i
+            keys = st[bisect_left(st, after):]
+            keys += ts[bisect_left(ts, after):]
+            keys.sort()
+            keys.append(end + (l if nonnegative else -l))
+            items = render(keys)
+            start = 0
+        if later[i]:
+            held[later[i]] = keys, items
+        yield i, items, start
 
 
 def build_graph(enc: PearlNecklace) -> CommutativityGraph:
@@ -142,11 +186,9 @@ def build_graph(enc: PearlNecklace) -> CommutativityGraph:
     n = len(strings)
     span = _span(strings)
     width = 2 * span + 1
-    end = n + 1
     edges = [(START, j, 0) for j in range(1, n + 1)]
-    for i, l, keys in _collisions(strings, span):
-        edges += [(i, k // width, k % width - span) for k in keys]
-        edges.append((i, end, abs(l)))
+    for i, keys, start in _collisions(strings, span, lambda keys: keys):
+        edges += [(i, k // width, k % width - span) for k in keys[start:]]
     return CommutativityGraph(n, tuple(edges))
 
 
@@ -169,34 +211,52 @@ def _dot_nodes(enc: PearlNecklace) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _EdgeSuffixes(dict):
-    """``'{j} [label="{weight}"];'`` by edge key, formatted on first use."""
+class _EdgeLines(dict):
+    """An edge line's text after its head, ``'{j} [label="{weight}"];'`` with
+    ``END`` for j = N + 1, by edge key; each formatted on first use."""
 
-    def __init__(self, span: int) -> None:
+    __slots__ = ("targets", "width", "span")
+
+    def __init__(self, gate_count: int, span: int) -> None:
         super().__init__()
+        self.targets = [f'{j} [label="' for j in range(gate_count + 1)]
+        self.targets.append('END [label="')
+        self.width = 2 * span + 1
         self.span = span
 
     def __missing__(self, key: int) -> str:
-        j, r = divmod(key, 2 * self.span + 1)
-        text = self[key] = f'{j} [label="{r - self.span}"];'
+        j, r = divmod(key, self.width)
+        text = self[key] = f'{self.targets[j]}{r - self.span}"];'
         return text
+
+    def lines(self, keys: list[int]) -> list[str]:
+        return [*map(self.__getitem__, keys)]
 
 
 def write_dot(enc: PearlNecklace, out: TextIO) -> None:
-    """Write ``to_dot(build_graph(enc), enc)`` to ``out``, one chunk per gate
-    string, without holding the edges.  Each chunk is joined in C from edge
-    lines cached per edge key."""
+    """Write ``to_dot(build_graph(enc), enc)`` to ``out`` without holding the
+    edges.  The text of each distinct edge key is formatted once, and the
+    lines of each class (a, b, l) are looked up once, at its first string
+    (see ``_collisions``).  A string's lines are joined in C with its head
+    as the separator, and ``out`` gets batches of at least
+    :data:`DOT_BATCH` characters, the last excepted."""
     strings = enc.strings
+    n = len(strings)
     span = _span(strings)
-    suffix = _EdgeSuffixes(span)
-    out.write(_dot_nodes(enc))
-    starts = [f'  START -> {j} [label="0"];\n' for j in range(1, len(strings) + 1)]
-    out.write("".join(starts))
-    for i, l, keys in _collisions(strings, span):
+    batch = [_dot_nodes(enc)]
+    batch += [f'  START -> {j} [label="0"];\n' for j in range(1, n + 1)]
+    size = sum(map(len, batch))
+    for i, texts, start in _collisions(strings, span, _EdgeLines(n, span).lines):
         head = f"  {i} -> "
-        lines = [*map(suffix.__getitem__, keys), f'END [label="{abs(l)}"];']
-        out.write(head + f"\n{head}".join(lines) + "\n")
-    out.write("}\n")
+        body = f"\n{head}".join(texts[start:])
+        batch += head, body, "\n"
+        size += len(body)
+        if size >= DOT_BATCH:
+            out.write("".join(batch))
+            batch.clear()
+            size = 0
+    batch.append("}\n")
+    out.write("".join(batch))
 
 
 def to_dot(g: CommutativityGraph, enc: PearlNecklace) -> str:

@@ -298,8 +298,9 @@ def test_verify_refuses_before_simulating(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("simulation started")
 
-    monkeypatch.setattr(pearlmem.gf2, "pearl_matrix", refuse)
-    monkeypatch.setattr(pearlmem.gf2, "conv_matrix", refuse)
+    # realization_check simulates through these two builders.
+    monkeypatch.setattr(pearlmem.gf2, "_pearl_matrix", refuse)
+    monkeypatch.setattr(pearlmem.gf2, "_conv_matrix", refuse)
     # example1 has memory 3 and frame width 3: no frames, the qubit budget
     # and the block window are each refused.
     cases = [

@@ -3,6 +3,7 @@
 import io
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -168,6 +169,81 @@ def test_streamed_dot_matches_the_pairwise_reference_on_edge_cases():
     for enc in encoders:
         assert streamed_dot(enc) == to_dot(build_graph_pairwise(enc), enc)
     assert streamed_dot(pair).count('  1 -> 3 [label="0"];\n') == 2
+
+
+def _later_users_between_reverse_doubles(enc: PearlNecklace) -> int:
+    """Strings i, not the first of their class (a, b, l), with a string
+    (b, a, l') of i's sign class both before and after i."""
+    gates = enc.strings
+    count = 0
+    for i, g in enumerate(gates):
+        if g not in gates[:i]:
+            continue
+        reverse = [
+            k
+            for k, h in enumerate(gates)
+            if (h.source, h.target) == (g.target, g.source)
+            and (h.degree >= 0) == (g.degree >= 0)
+        ]
+        count += any(k < i for k in reverse) and any(k > i for k in reverse)
+    return count
+
+
+def test_streamed_dot_matches_the_pairwise_reference_when_classes_repeat():
+    # A one-class encoder: every string takes the tail of its first string's
+    # lines.  CNOT(1,2)(D) strings draw no gate edges; CNOT(1,1)(D^-2)
+    # strings collide with every later one.
+    encoders = [make_encoder([(1, 2, 1)] * 200), make_encoder([(1, 1, -2)] * 200)]
+    # On one or two qubits with small degrees each class repeats many times,
+    # and same-sign reverse strings fall before and after its later strings.
+    rng = random.Random(2718)
+    seeded = [
+        make_encoder(seeded_gates(rng, n, width, span), frame_width=width)
+        for n in (10, 50, 300)
+        for width in (1, 2)
+        for span in (1, 3)
+    ]
+    # CNOT(1,2)(D) and CNOT(2,1)(D^-1) collide both ways with weight 0, so
+    # both repeated classes draw parallel edges with equal keys.
+    parallel = make_encoder([(1, 2, 1), (2, 1, -1)] * 30)
+    for enc in [*encoders, *seeded, parallel]:
+        assert streamed_dot(enc) == to_dot(build_graph_pairwise(enc), enc)
+    assert sum(map(_later_users_between_reverse_doubles, seeded)) > 1000
+    dot = streamed_dot(parallel)
+    assert dot.count('  1 -> 2 [label="0"];\n') == dot.count('  3 -> 60 [label="0"];\n') == 2
+
+
+def test_streamed_dot_allocates_nothing_sized_by_the_degree():
+    # Edge keys range over (N + 2)(2 * 10^9 + 1) values; a table indexed by
+    # them, or by the weights, would not fit in memory.
+    big = 10**9
+    enc = make_encoder([(1, 2, big), (2, 1, -big)] * 50)
+    start = time.perf_counter()
+    dot = streamed_dot(enc)
+    elapsed = time.perf_counter() - start
+    assert dot == to_dot(build_graph_pairwise(enc), enc)
+    assert '  99 -> END [label="1000000000"];\n' in dot
+    assert elapsed < 0.25, elapsed
+
+
+class _Discard:
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def test_streamed_dot_drops_a_class_after_its_last_string():
+    # 200 classes CNOT(1,b)(D) of two adjacent strings each, every one with
+    # edges to the same 500 later strings: held to the end, their lists of
+    # 200 x 500 keys and lines would peak at 2.3 MB.
+    gates = [(1, b, 1) for b in range(2, 202) for _ in range(2)] + [(3, 1, 1)] * 500
+    enc = make_encoder(gates)
+    tracemalloc.start()
+    try:
+        write_dot(enc, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_graph_work_follows_the_edges():
