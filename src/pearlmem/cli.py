@@ -1,32 +1,32 @@
 """Command-line front-end.
 
-Subcommands: analyze | dot | verify | brute-check | selftest.  Exit status is
-0 on success, 1 on parse or semantic errors (a file that is not UTF-8
-included), usage errors, other input problems, a stdout that cannot be written
-or running out of memory, and 2 only when verify, brute-check or selftest
-detects a correctness mismatch; a reader of stdout that leaves early, as
-``head`` does, is no error, unlike one of a named DOT file; an error while
-writing that file names it.  Each subcommand returns its stdout text, its
-status and, on a mismatch, a complaint; ``main`` alone writes and flushes the
-text, then prints ``file: complaint`` on stderr, and turns every error into
-one line on stderr.  Every analysis runs the linear core.  ``dot`` and
-``analyze --dot`` share one writer: it takes the edge count from the core,
-refuses a graph over ``graph.MAX_DOT_EDGES`` before writing anything, and
-writes the DOT text in batches without building the graph, holding at most
-one key list and one line list per repeated class of gate strings, none
-longer than its first string's edge list and freed after its last string.
-``verify`` and ``brute-check`` run a ``gf2`` check, which works out its own
-margin or bound and makes its own refusals, and return the JSON report with
-the check's result under ``verification`` or a one-line result.
+Subcommands: analyze | dot | verify | brute-check | selftest.  ``main`` reads
+a subcommand, its file and its own options, each spelled in full, given once
+and with no value that starts with '-'; only other argv (help, ``--opt=v``,
+abbreviations, ``--``, repeats, errors) import argparse, which alone writes
+help and usage texts.  Exit status is 0 on success, 1 on parse or semantic
+errors (a file that is not UTF-8 included), usage errors, other input
+problems, a stdout that cannot be written or running out of memory, and 2
+only when verify, brute-check or selftest detects a correctness mismatch; a
+reader of stdout that leaves early, as ``head`` does, is no error, unlike one
+of a named DOT file; an error while writing that file names it.  Each
+subcommand returns its stdout text, its status and, on a mismatch, a
+complaint; ``main`` alone writes and flushes the text, then prints ``file:
+complaint`` on stderr, and turns every error into one line on stderr.  Every
+analysis runs the linear core.  ``dot`` and ``analyze --dot`` share one
+writer, which refuses a graph over ``graph.MAX_DOT_EDGES`` by the core's edge
+count before writing anything, and never builds the graph.  ``verify`` and
+``brute-check`` run a ``gf2`` check, which works out its own margin or bound
+and makes its own refusals, and return the JSON report with the check's
+result under ``verification`` or a one-line result.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
-from typing import NoReturn
+from types import SimpleNamespace
 
 from .assignment import longest_path_linear
 from .gf2 import brute_check, realization_check
@@ -67,7 +67,7 @@ def _write_dot(enc: PearlNecklace, edge_count: int, path: str | None) -> None:
         raise OSError(f"{path}: {err.strerror}") from None
 
 
-def _cmd_analyze(args: argparse.Namespace) -> tuple[str, int, str | None]:
+def _cmd_analyze(args: SimpleNamespace) -> tuple[str, int, str | None]:
     enc = _load_encoder(args.file)
     report = analyze(enc)
     if args.dot is not None:
@@ -75,13 +75,13 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[str, int, str | None]:
     return to_json(report) if args.json else to_text(report), 0, None
 
 
-def _cmd_dot(args: argparse.Namespace) -> tuple[str, int, str | None]:
+def _cmd_dot(args: SimpleNamespace) -> tuple[str, int, str | None]:
     enc = _load_encoder(args.file)
     _write_dot(enc, longest_path_linear(enc).edge_count, args.output)
     return "", 0, None
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[str, int, str | None]:
+def _cmd_verify(args: SimpleNamespace) -> tuple[str, int, str | None]:
     enc = _load_encoder(args.file)
     report = analyze(enc)
     result = realization_check(enc, report.assignment, args.frames)
@@ -98,7 +98,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int, str | None]:
     )
 
 
-def _cmd_brute_check(args: argparse.Namespace) -> tuple[str, int, str | None]:
+def _cmd_brute_check(args: SimpleNamespace) -> tuple[str, int, str | None]:
     enc = _load_encoder(args.file)
     report = analyze(enc)
     memory = report.assignment.memory
@@ -114,7 +114,7 @@ def _cmd_brute_check(args: argparse.Namespace) -> tuple[str, int, str | None]:
     return text, 2, "brute-force memory disagrees with the graph analysis"
 
 
-def _cmd_selftest(args: argparse.Namespace) -> tuple[str, int, str | None]:
+def _cmd_selftest(args: SimpleNamespace) -> tuple[str, int, str | None]:
     failures = run_selftest(seed=args.seed, count=args.count)
     if args.json:
         import json  # only JSON output needs it; start-up stays lean
@@ -136,60 +136,85 @@ def _drop_stdout() -> None:
     os.close(devnull)
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors exit 1, like other input errors; 2 means a mismatch."""
+_JSON = (("--json",), bool, False, None, "emit the report as JSON")
+# Each subcommand's function, help, positionals and options: (flags, type,
+# default, metavar, help), type bool for a switch, named after its first flag.
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "report memory and frame assignment", ("file",), (
+        _JSON, (("--dot",), str, None, "PATH", "also write the graph as DOT"))),
+    "dot": (_cmd_dot, "write the commutativity graph as DOT", ("file",), (
+        (("--output", "-o"), str, None, "PATH", "output file (default stdout)"),)),
+    "verify": (
+        _cmd_verify, "GF(2) equivalence check of the derived convolutional encoder", ("file",), (
+        (("--frames",), int, None, None, "truncation window (default: 3 x default margin)"),
+        _JSON)),
+    "brute-check": (
+        _cmd_brute_check, "compare against brute-force minimal memory", ("file",), (_JSON,)),
+    "selftest": (_cmd_selftest, "random cross-checks against the oracles", (), (
+        (("--seed",), int, 0, None, "RNG seed (default 0)"),
+        (("--count",), int, 25, None, "instances to run (default 25)"),
+        (("--json",), bool, False, None, "emit a JSON summary"))),
+}
 
-    def error(self, message: str) -> NoReturn:
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """What ``_build_parser().parse_args(argv)`` gives when ``argv`` is a
+    subcommand, its positionals and its own options, each spelled in full and
+    given once, with no value that starts with '-'; None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, positionals, options = _COMMANDS[argv[0]]
+    named = {flag: (flags[0][2:], kind) for flags, kind, *_ in options for flag in flags}
+    values, wanted, rest = {"command": argv[0]}, list(positionals), iter(argv[1:])
+    for arg in rest:
+        dest, kind = named.get(arg, (None, None))
+        if wanted and not arg.startswith("-"):
+            values[wanted.pop(0)] = arg
+        elif dest is None or dest in values:
+            return None
+        elif kind is bool:
+            values[dest] = True
+        elif (value := next(rest, "-")).startswith("-"):  # a missing value too
+            return None
+        else:
+            try:
+                values[dest] = kind(value)
+            except ValueError:
+                return None
+    defaults = {flags[0][2:]: default for flags, _, default, *_ in options}
+    return None if wanted else SimpleNamespace(**{**defaults, **values}, func=func)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = _ArgumentParser(
-        prog="pearlmem",
-        description=(
-            "Compute the minimal quantum memory of a pearl-necklace encoder "
-            "and a minimal-memory convolutional realization."
-        ),
-    )
+def _build_parser():
+    """The argparse parser of ``_COMMANDS``, for what :func:`_read_args` declines."""
+    import argparse
+    from typing import NoReturn
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        """Usage errors exit 1, like other input errors; 2 means a mismatch."""
+
+        def error(self, message: str) -> NoReturn:
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    top = _ArgumentParser(prog="pearlmem", description=(
+        "Compute the minimal quantum memory of a pearl-necklace encoder "
+        "and a minimal-memory convolutional realization."))
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="report memory and frame assignment")
-    p.add_argument("file", help="encoder source file")
-    p.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p.add_argument("--dot", metavar="PATH", help="also write the graph as DOT")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("dot", help="write the commutativity graph as DOT")
-    p.add_argument("file", help="encoder source file")
-    p.add_argument("--output", "-o", metavar="PATH", help="output file (default stdout)")
-    p.set_defaults(func=_cmd_dot)
-
-    p = sub.add_parser(
-        "verify", help="GF(2) equivalence check of the derived convolutional encoder"
-    )
-    p.add_argument("file", help="encoder source file")
-    p.add_argument("--frames", type=int, help="truncation window (default: 3 x default margin)")
-    p.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser(
-        "brute-check", help="compare against brute-force minimal memory"
-    )
-    p.add_argument("file", help="encoder source file")
-    p.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p.set_defaults(func=_cmd_brute_check)
-
-    p = sub.add_parser("selftest", help="random cross-checks against the oracles")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--count", type=int, default=25, help="instances to run (default 25)")
-    p.add_argument("--json", action="store_true", help="emit a JSON summary")
-    p.set_defaults(func=_cmd_selftest)
+    for name, (func, summary, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for positional in positionals:
+            p.add_argument(positional, help="encoder source file")
+        for flags, kind, default, metavar, text in options:
+            how = {"type": kind, "default": default, "metavar": metavar}
+            p.add_argument(*flags, help=text, **{"action": "store_true"} if kind is bool else how)
+        p.set_defaults(func=func)
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv  # as argparse reads it
+    args = _read_args(argv) or _build_parser().parse_args(argv, SimpleNamespace())
     status, complaint = 0, None
     try:
         text, status, complaint = args.func(args)

@@ -31,9 +31,9 @@ is found once, at its first string, and each later string takes its tail.
 The enumerator feeds both :func:`build_graph`, which holds the edges, and
 :func:`write_dot`, which writes the DOT text in batches and holds no edges:
 at most one key list and one line list per repeated class, none longer than
-its first string's edge list and freed after its last string, and the text
-of each distinct edge key, which is O(N) for bounded degrees (see
-``_collisions``).  The analysis does not need the graph: because the
+its first string's edge list and freed after its last string, and at most
+8(N + 2) edge texts and 32(N + 2) run keys (see ``_collisions``), whatever
+the degrees.  The analysis does not need the graph: because the
 weights separate, ``assignment.longest_path_linear`` reads the same longest
 path, and the edge count, off running maxima per qubit.  The graph is built
 as the oracle that the linear search is checked against.
@@ -98,9 +98,9 @@ def _collisions(
     its first user; the first string of a class bisects its two runs at its
     own ordinal and sorts their concatenation, which merges two ascending
     runs in C.  The runs hold at most (max|l| + 1) copies of each bucket,
-    plus one filtered copy per (source, target, sign) kind: O(N) for bounded
-    degrees and frame width, and on seeded N = 1000 encoders 14 keys per
-    string at width 4 and 6 at width 64, against 234 and 16 edges.
+    plus one filtered copy per (source, target, sign) kind: on seeded N = 1000
+    encoders 14 keys per string at width 4 and 6 at width 64, against 234 and
+    16 edges.  Past 32(N + 2) keys they are dropped, so they stay O(N).
 
     A class that repeats hands its first string's keys and items on to each
     of its later strings in turn, and each takes the tail after itself by one
@@ -141,6 +141,7 @@ def _collisions(
 
     st_runs: dict[tuple, list[int]] = {}  # a_i == b_j, weight p_i - q_j
     ts_runs: dict[tuple, list[int]] = {}  # b_i == a_j, weight q_i - p_j
+    run_keys = 0  # in both; past 32(N + 2) the runs are dropped, and made anew
     held: list[tuple[list[int], list] | None] = [None] * (n + 1)  # by next user
     end = (n + 1) * width + span  # the key of an edge to END, less its weight
     for i, (a, b, l) in enumerate(strings, start=1):
@@ -162,12 +163,16 @@ def _collisions(
                 st_key, ts_key = (a, l, None), (b, 0, reverse)
             else:
                 st_key, ts_key = (a, 0, reverse), (b, -l, None)
+            if run_keys > 32 * (n + 2):
+                st_runs, ts_runs, run_keys = {}, {}, 0
             st = st_runs.get(st_key)
             if st is None:
                 st = st_runs[st_key] = run(by_target[a], i, st_key[1] + span, q, st_key[2])
+                run_keys += len(st)
             ts = ts_runs.get(ts_key)
             if ts is None:
                 ts = ts_runs[ts_key] = run(by_source[b], i, ts_key[1] + span, p, ts_key[2])
+                run_keys += len(ts)
             after = (i + 1) * width  # the smallest key of a string after i
             keys = st[bisect_left(st, after):]
             keys += ts[bisect_left(ts, after):]
@@ -230,13 +235,15 @@ class _EdgeLines(dict):
         return text
 
     def lines(self, keys: list[int]) -> list[str]:
+        if len(self) > 8 * len(self.targets):  # O(N) texts, not one per key
+            self.clear()
         return [*map(self.__getitem__, keys)]
 
 
 def write_dot(enc: PearlNecklace, out: TextIO) -> None:
     """Write ``to_dot(build_graph(enc), enc)`` to ``out`` without holding the
-    edges.  The text of each distinct edge key is formatted once, and the
-    lines of each class (a, b, l) are looked up once, at its first string
+    edges.  The text of each edge key is formatted once while it is held, and
+    the lines of each class (a, b, l) are looked up once, at its first string
     (see ``_collisions``).  A string's lines are joined in C with its head
     as the separator, and ``out`` gets batches of at least
     :data:`DOT_BATCH` characters, the last excepted."""

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line front-end."""
 
 import collections
+import contextlib
+import io
 import json
 import os
 import random
@@ -147,6 +149,7 @@ def test_outputs_match_golden_files(name, capsys):
         "brute.txt": ["brute-check", path],
     }
     for suffix, argv in runs.items():
+        assert pearlmem.cli._read_args(argv) is not None, suffix  # argparse is not needed
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert out.encode() == (GOLDEN / f"{name}.{suffix}").read_bytes(), suffix
@@ -680,17 +683,17 @@ def test_other_write_errors_stay_errors(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["analyze"],
-        ["bogus"],
-        [],
-        ["verify", EXAMPLE1, "--frames", "abc"],
-        ["verify", EXAMPLE1, "--margin", "0"],
-        ["brute-check", EXAMPLE1, "--bound", "4"],
-    ],
-)
+USAGE_ERRORS = {
+    "analyze-no-file": ["analyze"],
+    "bogus-command": ["bogus"],
+    "no-command": [],
+    "frames-abc": ["verify", EXAMPLE1, "--frames", "abc"],
+    "margin": ["verify", EXAMPLE1, "--margin", "0"],
+    "bound": ["brute-check", EXAMPLE1, "--bound", "4"],
+}
+
+
+@pytest.mark.parametrize("args", list(USAGE_ERRORS.values()))
 def test_usage_errors(args, capsys):
     # Exit code 2 is reserved for a correctness mismatch.
     with pytest.raises(SystemExit) as exc:
@@ -707,6 +710,44 @@ def test_help_exits_zero(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: pearlmem verify")
+
+
+# The golden file tests/golden/usage/NAME.txt holds what each case prints:
+# stdout for help, stderr otherwise.  NAME+TAG.txt files hold the same text
+# as other argparse versions print it.
+USAGE_TEXTS = {
+    "help": (["--help"], 0),
+    **{f"help-{c}": ([c, "--help"], 0) for c in ("analyze", "dot", "verify", "brute-check", "selftest")},
+    **{name: (argv, 1) for name, argv in USAGE_ERRORS.items()},
+    "frames-negative": (["verify", EXAMPLE1, "--frames", "-3"], 1),
+    "output-no-value": (["dot", EXAMPLE1, "-o"], 1),
+}
+
+
+def _run_main(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exit:
+        return exit.code
+
+
+@pytest.mark.parametrize("name", USAGE_TEXTS)
+def test_help_and_usage_texts_match_golden_files(name, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse fits help to the terminal
+    argv, status = USAGE_TEXTS[name]
+    assert _run_main(argv) == status
+    out, err = capsys.readouterr()
+    printed, silent = (out, err) if name.startswith("help") else (err, out)
+    assert silent == ""
+    usage = GOLDEN / "usage"
+    goldens = [usage / f"{name}.txt", *usage.glob(f"{name}+*.txt")]
+    assert printed in {path.read_text() for path in goldens}, printed
+
+
+def test_an_abbreviated_option_still_works(capsys):
+    # argparse expands --js to --json; the golden run spells it out.
+    assert _run_main(["analyze", EXAMPLE1, "--js"]) == 0
+    assert capsys.readouterr() == ((GOLDEN / "example1.analyze.json").read_text(), "")
 
 
 def test_non_utf8_input_is_a_positioned_error(tmp_path, capsys):
@@ -757,7 +798,8 @@ def test_cli_start_up_does_not_import_numpy():
 
 
 def test_cli_start_up_does_not_import_json():
-    # Only JSON output needs it, and it is the largest import after argparse.
+    # Only JSON output needs it; like argparse, which only help and usage
+    # errors need, it is one of the largest imports that start-up skips.
     _assert_cli_leaves_out("json")
 
 
@@ -770,3 +812,131 @@ def test_analyze_json_does_not_import_json():
 def test_check_json_does_not_import_json(command):
     # A check's flat result is written from templates too.
     _assert_cli_leaves_out("json", argv=[command, EXAMPLE1, "--json"])
+
+
+def _argparse_vars(parser, argv: list[str]) -> dict | None:
+    """vars() of what argparse reads from ``argv``, or None where it prints
+    help or a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# The benchmark's shapes and others that the reader must take; every golden
+# run takes it too (test_outputs_match_golden_files).
+USUAL_ARGV = [
+    ["analyze", EXAMPLE1, "--json"],
+    ["analyze", EXAMPLE1],
+    ["dot", EXAMPLE1],
+    ["verify", EXAMPLE1, "--frames", "45"],
+    ["brute-check", EXAMPLE1],
+    ["dot", EXAMPLE1, "-o", "graph.dot"],
+    ["verify", EXAMPLE1, "--json", "--frames", "744"],
+    ["brute-check", EXAMPLE1, "--json"],
+    ["analyze", EXAMPLE1, "--dot", "g.dot"],
+    ["selftest", "--seed", "1", "--count", "2000", "--json"],
+]
+
+
+def test_the_usual_argv_take_the_reader():
+    parser = pearlmem.cli._build_parser()
+    for argv in USUAL_ARGV:
+        args = pearlmem.cli._read_args(argv)
+        assert args is not None, argv
+        assert vars(args) == _argparse_vars(parser, argv), argv
+
+
+def test_the_reader_leaves_other_spellings_to_argparse():
+    for argv in (
+        ["analyze", EXAMPLE1, "--js"],
+        ["analyze", EXAMPLE1, "--dot=g.dot"],
+        ["dot", EXAMPLE1, "-og.dot"],
+        ["analyze", "--", EXAMPLE1],
+        ["analyze", EXAMPLE1, "-h"],
+        ["analyze", EXAMPLE1, "--json", "--json"],
+        ["dot", EXAMPLE1, "-o", "a.dot", "--output", "b.dot"],
+        ["verify", EXAMPLE1, "--frames", "-1"],
+        ["analyze", EXAMPLE1, "--dot", "-g.dot"],
+        ["analyze", "-f.pne"],
+        ["dot", EXAMPLE1, "-o"],
+        ["analyze", EXAMPLE1, "--dot"],
+        ["verify", EXAMPLE1, "--frames", "abc"],
+        ["analyze", EXAMPLE1, EXAMPLE3],
+        ["analyze"],
+        ["selftest", EXAMPLE1],
+        ["bogus", EXAMPLE1],
+        [],
+        ["--help"],
+    ):
+        assert pearlmem.cli._read_args(argv) is None, argv
+
+
+def test_the_reader_agrees_with_argparse_wherever_it_reads():
+    # Seeded argv of every subcommand and option, mixed with the spellings the
+    # reader must leave to argparse: abbreviations, =value, --, -h, repeats,
+    # values that start with "-", odd ints and extra or missing positionals.
+    options = {
+        "analyze": ["--json", "--dot"],
+        "dot": ["--output", "-o"],
+        "verify": ["--frames", "--json"],
+        "brute-check": ["--json"],
+        "selftest": ["--seed", "--count", "--json"],
+    }
+    switches = {"--json"}
+    values = ["3", "0", "12", "abc", "1e3", "g.dot", "-1", "-", "-x", " -1", "+3", "1_0", "٣", ""]
+    odd = [
+        "--js", "--fr", "--out", "--co", "--json=1", "--frames=3", "-ox", "--", "-h",
+        "--help", "-1", "-", " -1", "", "f.pne", "bogus", "--dot", "--frames", "--seed", "-o",
+    ]
+    rng = random.Random(27)
+    parser = pearlmem.cli._build_parser()
+    read = []
+    for _ in range(4000):
+        command = rng.choice([*options, "bogus"])
+        groups = [["f.pne"]] if rng.random() < 0.8 else []
+        for flag in options.get(command, []):
+            if rng.random() < 0.6:
+                groups.append([flag] if flag in switches else [flag, rng.choice(values)])
+        groups += [[rng.choice(odd)] for _ in range(rng.choice([0, 0, 0, 1, 2]))]
+        rng.shuffle(groups)
+        argv = [command, *(word for group in groups for word in group)]
+        args = pearlmem.cli._read_args(argv)
+        if args is not None:
+            assert vars(args) == _argparse_vars(parser, argv), argv
+            read.append(argv)
+    assert len(read) > 1000, len(read)
+    words = {word for argv in read for word in argv}
+    assert words >= {*options, *switches, "--dot", "-o", "--output", "--frames", "--seed"}
+    assert words >= {"--count", " -1", "+3", "1_0", "٣", ""}, words
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,
+        ["analyze", EXAMPLE1],
+        ["analyze", EXAMPLE1, "--json"],
+        ["dot", EXAMPLE1],
+        ["verify", EXAMPLE1],
+        ["verify", EXAMPLE1, "--json"],
+        ["brute-check", EXAMPLE1],
+        ["brute-check", EXAMPLE1, "--json"],
+        ["selftest", "--count", "1"],
+    ],
+)
+def test_usual_calls_do_not_import_argparse(argv):
+    # Building the parser, with argparse and the gettext it loads, cost about
+    # as much as pearlmem's own imports; only help and usage errors need it.
+    _assert_cli_leaves_out("argparse", "gettext", argv=argv)
+
+
+def test_the_module_entry_reads_sys_argv():
+    # main() reads sys.argv[1:], for the usual argv and for help alike.
+    with _run_cli(["analyze", "--json", EXAMPLE1], subprocess.PIPE, False) as proc:
+        assert proc.communicate(timeout=60) == ((GOLDEN / "example1.analyze.json").read_bytes(), b"")
+    assert proc.returncode == 0
+    with _run_cli(["--help"], subprocess.PIPE, False) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"") and out.startswith(b"usage: pearlmem [-h]"), out

@@ -246,6 +246,37 @@ def test_streamed_dot_drops_a_class_after_its_last_string():
     assert peak < 1_000_000, peak
 
 
+class _Comparing:
+    """A sink that checks what it is given against ``text``, in order."""
+
+    def __init__(self, text: str) -> None:
+        self.text, self.at, self.equal = text, 0, True
+
+    def write(self, chunk: str) -> int:
+        self.equal = self.equal and self.text.startswith(chunk, self.at)
+        self.at += len(chunk)
+        return len(chunk)
+
+
+def test_streamed_dot_memory_follows_the_strings_not_the_edges():
+    # CNOT(1,1)(D^k), k = 1..K, each twice: every pair collides, and most edge
+    # keys and collision runs are distinct.  Holding every key's text and run
+    # peaked at 17.4 MB for K = 300 and 69.3 MB for K = 600, growing with the
+    # edges (x 4); bounded by N, the peak can at most double with N.
+    peaks = []
+    for top in (300, 600):
+        enc = make_encoder([(1, 1, k) for k in range(1, top + 1) for _ in range(2)])
+        sink = _Comparing(to_dot(build_graph_pairwise(enc), enc))
+        tracemalloc.start()
+        try:
+            write_dot(enc, sink)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sink.equal and sink.at == len(sink.text) > 5_000_000 * top // 600, top
+    assert peaks[1] < 2.5 * peaks[0] and peaks[1] < 5_000_000, peaks
+
+
 def test_graph_work_follows_the_edges():
     # No two strings share a qubit, so there are no gate-to-gate edges; a loop
     # over the N(N-1)/2 pairs would take about 2e8 iterations here.
