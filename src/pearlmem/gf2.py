@@ -32,11 +32,14 @@ of one row XOR per frame.  The slice form is exact:
   written: along each residue class of frames mod l the string is a prefix
   XOR, one ``accumulate`` over a slice of step l*n.
 
-Both builders can simulate only some column frames, starting from identity
-rows masked to those columns and packed down to bit 0, and keep only the
-interior rows (see :class:`Gf2Circuit`).  This is exact by linearity: a row
-XOR acts on each column separately, since (x ^ y) & mask == (x & mask) ^
-(y & mask), so masking the start masks the result.
+:func:`pearl_matrix` and :func:`conv_matrix` return the full matrix, a
+:class:`Gf2Circuit`, which :func:`interior_equal` compares away from the
+boundary.  :func:`realization_check` runs private builders that start from
+identity rows masked to some column frames, packed down to bit 0, and return
+as a plain tuple only the interior rows, those of the frames the columns span:
+equal tuples are equal interiors.  This is exact by linearity: a row XOR acts
+on each column separately, since (x ^ y) & mask == (x & mask) ^ (y & mask),
+so masking the start masks the result.
 
 :func:`realization_check` builds the pearl-necklace side in shift form: x[q]
 holds the rows of qubit q, frame f at bits f*step.., with step the simulated
@@ -51,7 +54,7 @@ with full = (1 << F*step) - 1:
   full for k = l, 2l, 4l, ... < F.
 
 Its cost follows the bits it simulates, so it suits two column frames, and
-the slice form every interior column.  The convolutional builder skips the
+the slice form the full matrix.  The convolutional builder skips the
 block offsets whose frames are all still zero or all dropped, exact by
 dataflow, and applies the block to a sliding window of ``memory + 1`` frames
 at fixed row indices.  Neither builder relies on the pair rule or the graph.
@@ -100,25 +103,18 @@ class _CircuitFields(NamedTuple):
     frames: int
     frame_width: int
     rows: tuple[int, ...]
-    margin: int = 0
 
 
 class Gf2Circuit(_CircuitFields):
-    """Linear action of a CNOT circuit on F frames of ``frame_width`` (w) qubits,
-    restricted to the qubits of frames margin..F-margin-1 (all at margin 0): bit
-    c of ``rows[r]`` is entry (lo + r, lo + c), lo = margin * w.  A band circuit of
-    :func:`realization_check` keeps frames margin and F-margin-1 as bits 0..2w-1."""
+    """Linear action of a CNOT circuit on F frames of ``frame_width`` qubits:
+    bit c of ``rows[r]`` is entry (r, c)."""
 
     __slots__ = ()
 
-    def __new__(
-        cls, frames: int, frame_width: int, rows: tuple[int, ...], margin: int = 0
-    ) -> "Gf2Circuit":
-        _check_margin(frames, margin)
-        size = (frames - 2 * margin) * frame_width
-        if len(rows) != size:
-            raise ValueError(f"{len(rows)} rows != {size}")
-        return tuple.__new__(cls, (frames, frame_width, rows, margin))
+    def __new__(cls, frames: int, frame_width: int, rows: tuple[int, ...]) -> "Gf2Circuit":
+        if len(rows) != frames * frame_width:
+            raise ValueError(f"{len(rows)} rows != {frames * frame_width}")
+        return tuple.__new__(cls, (frames, frame_width, rows))
 
     @classmethod
     def _make(cls, iterable: Iterable) -> "Gf2Circuit":  # _replace validates too
@@ -158,23 +154,17 @@ def _identity(frames: int, n: int, columns: range) -> list[int]:
     return rows
 
 
-def _interior(frames: int, frame_width: int, rows: list[int], margin: int) -> Gf2Circuit:
-    lo = margin * frame_width
-    return Gf2Circuit(frames, frame_width, tuple(rows[lo : len(rows) - lo]), margin)
-
-
-def pearl_matrix(enc: PearlNecklace, frames: int, margin: int = 0) -> Gf2Circuit:
+def pearl_matrix(enc: PearlNecklace, frames: int) -> Gf2Circuit:
     """Truncate the pearl-necklace encoder to ``frames`` frames.
 
     Gate strings are applied in order; within a string, frames ascend.  Gates
-    whose partner frame falls outside [0, frames) are dropped.  Only the
-    columns :func:`interior_equal` reads at ``margin`` are simulated; margin 0
-    gives the full matrix.  Raises ``ValueError`` as :func:`check_window` does
-    for a block window of one frame.
+    whose partner frame falls outside [0, frames) are dropped.  Raises
+    ``ValueError`` as :func:`check_window` does for a block window of one
+    frame.
     """
     n = enc.frame_width
-    check_window(frames, n, 0, margin)
-    rows = _identity(frames, n, range(margin, frames - margin))
+    check_window(frames, n, 0, 0)
+    rows = _identity(frames, n, range(frames))
     for a, b, l in enc.strings:
         if abs(l) >= frames:
             continue  # every gate of the string straddles the window
@@ -187,13 +177,13 @@ def pearl_matrix(enc: PearlNecklace, frames: int, margin: int = 0) -> Gf2Circuit
         src = slice(first * n + a - 1, last * n + a, n)
         dst = slice((first + l) * n + b - 1, (last + l) * n + b, n)
         rows[dst] = map(xor, rows[dst], rows[src])
-    return _interior(frames, n, rows, margin)
+    return Gf2Circuit(frames, n, tuple(rows))
 
 
-def _pearl_matrix(enc: PearlNecklace, frames: int, margin: int, columns: range) -> Gf2Circuit:
-    """:func:`pearl_matrix` over the column frames ``columns``, in shift form."""
+def _pearl_matrix(enc: PearlNecklace, frames: int, columns: range) -> tuple[int, ...]:
+    """The rows of frames ``columns[0]`` to ``columns[-1]`` of
+    :func:`pearl_matrix` over the column frames ``columns``, in shift form."""
     n = enc.frame_width
-    check_window(frames, n, 0, margin)
     size = -(-len(columns) * n // 8)  # bytes per frame
     step, full = 8 * size, (1 << frames * size * 8) - 1
     start = bytearray(frames * size)  # qubit 1's identity rows
@@ -211,47 +201,45 @@ def _pearl_matrix(enc: PearlNecklace, frames: int, margin: int, columns: range) 
             while l < frames:  # the prefix XOR by doubling
                 x[a] ^= (x[a] << l * step) & full
                 l *= 2
-    out = [v.to_bytes(frames * size, "little") for v in x]
-    kept = range(margin * size, (frames - margin) * size, size)
-    rows = tuple(int.from_bytes(v[i : i + size], "little") for i in kept for v in out)
-    return Gf2Circuit(frames, n, rows, margin)
+    for q, v in enumerate(x):  # in place: one qubit held twice at a time
+        x[q] = v.to_bytes(frames * size, "little")
+    kept = range(columns[0] * size, (columns[-1] + 1) * size, size)
+    return tuple(int.from_bytes(v[i : i + size], "little") for i in kept for v in x)
 
 
 def conv_matrix(
-    enc: PearlNecklace,
-    gates: Sequence[tuple[int, int, int, int]],
-    memory: int,
-    frames: int,
-    margin: int = 0,
+    enc: PearlNecklace, gates: Sequence[tuple[int, int, int, int]], memory: int, frames: int
 ) -> Gf2Circuit:
     """Apply the convolutional block at offsets 0..frames-memory-1.
 
     ``gates`` is the block gate list ``(source, target, sigma, tau)`` with
-    window frame indices in [0, memory].  Only the columns
-    :func:`interior_equal` reads at ``margin`` are simulated, and only the
-    offsets that can change a kept entry; margin 0 gives the full matrix.
-    Raises ``ValueError`` as :func:`check_window` does, and for a gate outside
-    the window.
+    window frame indices in [0, memory].  Raises ``ValueError`` as
+    :func:`check_window` does, and for a gate outside the window.
     """
-    return _conv_matrix(enc, gates, memory, frames, margin, range(margin, frames - margin))
+    n = enc.frame_width
+    check_window(frames, n, memory, 0)
+    return Gf2Circuit(frames, n, _conv_matrix(enc, gates, memory, frames, range(frames)))
 
 
 def _conv_matrix(
-    enc: PearlNecklace, gates: Sequence, memory: int, frames: int, margin: int, columns: range
-) -> Gf2Circuit:
+    enc: PearlNecklace, gates: Sequence, memory: int, frames: int, columns: range
+) -> tuple[int, ...]:
+    """The rows of frames ``columns[0]`` to ``columns[-1]`` of
+    :func:`conv_matrix` over the column frames ``columns``, simulating only
+    the offsets that can change one of them."""
     n = enc.frame_width
-    check_window(frames, n, memory, margin)
     offsets = []  # the gate's source and target rows at block offset 0
     for a, b, sigma, tau in gates:
         if not (0 <= sigma <= memory and 0 <= tau <= memory):
             raise ValueError(f"block gate ({a},{b})({sigma},{tau}) outside window")
         offsets.append(((memory - sigma) * n + a - 1, (memory - tau) * n + b - 1))
     rows = _identity(frames, n, columns)
+    lo, hi = columns[0], columns[-1] + 1  # the frames whose rows are kept
     # The block at offset p touches frames p..p+memory.  Below offset
-    # margin - memory all of them are still zero; from offset frames - margin
-    # on none of them is kept.
-    first = max(0, margin - memory)
-    end = min(frames - memory, frames - margin)
+    # lo - memory all of them are still zero; from offset hi on none of them
+    # is kept.
+    first = max(0, lo - memory)
+    end = min(frames - memory, hi)
     # The block's rows lead ``ahead``, so its row indices stay fixed; each
     # finished frame moves back to ``rows``.
     ahead = rows[first * n :]
@@ -262,7 +250,7 @@ def _conv_matrix(
         rows += ahead[:n]
         del ahead[:n]
     rows += ahead
-    return _interior(frames, n, rows, margin)
+    return tuple(rows[lo * n : hi * n])
 
 
 def _largest_fall(enc: PearlNecklace) -> int:
@@ -294,20 +282,13 @@ def fitted_margin(enc: PearlNecklace, memory: int, frames: int) -> int:
 
 def interior_equal(a: Gf2Circuit, b: Gf2Circuit, margin: int) -> bool:
     """Compare the two actions on qubits at least ``margin`` frames from
-    either truncation boundary (rows and columns restricted alike).  Both
-    circuits must be built at the same margin, at most ``margin``."""
+    either truncation boundary (rows and columns restricted alike)."""
     if (a.frames, a.frame_width) != (b.frames, b.frame_width):
         raise ValueError(
             f"dimension mismatch: {a.frames}x{a.frame_width} vs {b.frames}x{b.frame_width}"
         )
     _check_margin(a.frames, margin)
-    if a.margin != b.margin:
-        raise ValueError(f"circuits built at margins {a.margin} and {b.margin}")
-    if margin < a.margin:
-        raise ValueError(
-            f"circuits built at margin {a.margin} cannot be compared at margin {margin}"
-        )
-    lo = (margin - a.margin) * a.frame_width  # both rows and bits start at a.margin
+    lo = margin * a.frame_width
     hi = len(a.rows) - lo
     mask = (1 << hi) - (1 << lo)  # columns lo..hi-1
     return all(not (x ^ y) & mask for x, y in zip(a.rows[lo:hi], b.rows[lo:hi]))
@@ -327,10 +308,9 @@ def realization_check(
     columns = range(margin, frames - margin)
     if margin >= max(fa.memory, _largest_fall(enc)):  # the band: first and last frame
         columns = columns[:: max(len(columns) - 1, 1)]
-    pearl = _pearl_matrix(enc, frames, margin, columns)
-    conv = _conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames, margin, columns)
-    equal = interior_equal(pearl, conv, margin)
-    return {"frames": frames, "interior_equal": equal, "margin": margin}
+    pearl = _pearl_matrix(enc, frames, columns)
+    conv = _conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames, columns)
+    return {"frames": frames, "interior_equal": pearl == conv, "margin": margin}
 
 
 def brute_force_min_memory(enc: PearlNecklace, bound: int) -> int | None:

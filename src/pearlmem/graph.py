@@ -30,12 +30,12 @@ from N.  Strings of one class (a, b, l) collide alike, so a class's edge list
 is found once, at its first string, and each later string takes its tail.
 The enumerator feeds both :func:`build_graph`, which holds the edges, and
 :func:`write_dot`, which writes the DOT text in batches and holds no edges:
-at most one key list and one line list per repeated class, none longer than
-its first string's edge list and freed after its last string, and at most
-8(N + 2) edge texts and 32(N + 2) run keys (see ``_collisions``), whatever
-the degrees.  The analysis does not need the graph: because the
-weights separate, ``assignment.longest_path_linear`` reads the same longest
-path, and the edge count, off running maxima per qubit.  The graph is built
+at most 64(N + 2) keys in the lists that repeated classes hand on, with one
+line per key, and at most 8(N + 2) edge texts and 32(N + 2) run keys (see
+``_collisions``), whatever the degrees and the order of the strings.  The
+analysis does not need the graph: because the weights separate,
+``assignment.longest_path_linear`` reads the same longest path, and the edge
+count, off running maxima per qubit.  The graph is built
 as the oracle that the linear search is checked against.
 """
 
@@ -106,10 +106,12 @@ def _collisions(
     of its later strings in turn, and each takes the tail after itself by one
     bisect; the last drops them.  That tail is the later string's own edge
     list: the runs of the first string drop the same-sign doubles of every
-    reverse string that a later one would.  So at most one key list and one
-    item list are live per repeated class, none longer than its first
-    string's edge list, and a class of one string keeps nothing.  On the
-    seeded N = 1000, width-4 encoder 108 classes hold at most 45 000 keys.
+    reverse string that a later one would.  A list is handed on only while
+    the held lists hold at most 64(N + 2) keys; past that the next string of
+    its class makes its own from the runs, as a first string does.  So a
+    class of one string keeps nothing, and classes that repeat far apart
+    hold O(N).  On the benchmark's seeded N = 1000, width-4 encoders (seeds
+    1-10) the held lists peak at 44 000 to 45 900 keys, below the 64 128.
     """
     width = 2 * span + 1
     n = len(strings)
@@ -143,12 +145,14 @@ def _collisions(
     ts_runs: dict[tuple, list[int]] = {}  # b_i == a_j, weight q_i - p_j
     run_keys = 0  # in both; past 32(N + 2) the runs are dropped, and made anew
     held: list[tuple[list[int], list] | None] = [None] * (n + 1)  # by next user
+    held_keys = 0  # in the held lists; past 64(N + 2) a list is not handed on
     end = (n + 1) * width + span  # the key of an edge to END, less its weight
     for i, (a, b, l) in enumerate(strings, start=1):
         handed = held[i]
         if handed is not None:
             held[i] = None
             keys, items = handed
+            held_keys -= len(keys)
             start = bisect_left(keys, (i + 1) * width)
         else:
             # Same-sign doubles keep only the dominant edge: the later reverse
@@ -180,8 +184,9 @@ def _collisions(
             keys.append(end + (l if nonnegative else -l))
             items = render(keys)
             start = 0
-        if later[i]:
+        if later[i] and held_keys + len(keys) <= 64 * (n + 2):
             held[later[i]] = keys, items
+            held_keys += len(keys)
         yield i, items, start
 
 

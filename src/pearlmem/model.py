@@ -13,12 +13,12 @@ value they refuse; the parser repeats the rules only to position its errors.
 The package's records are immutable values, and every one is a
 ``typing.NamedTuple`` class or a subclass of one, so they unpack, compare
 equal to plain tuples of the same fields and copy with ``_replace``.  Those
-that validate their fields (``GateString``, ``PearlNecklace``,
-``gf2.Gf2Circuit``) are slotted subclasses that do so in ``__new__``, which
-``_replace`` also goes through.  ``report.AnalysisReport`` keeps its graph
-cache outside the tuple, so the cache takes no part in its equality.  No
-record is a dataclass: generating their code would cost more than the rest
-of the package's import.
+that validate their fields (``GateString``, ``PearlNecklace``, and
+``gf2.Gf2Circuit``, a full matrix whose rows number frames x frame_width) are
+slotted subclasses that do so in ``__new__``, which ``_replace`` also goes
+through.  ``report.AnalysisReport`` keeps its graph cache outside the tuple,
+so the cache takes no part in its equality.  No record is a dataclass:
+generating their code would cost more than the rest of the package's import.
 """
 
 from __future__ import annotations

@@ -155,8 +155,8 @@ def build_graph_nonpositive(enc: PearlNecklace) -> CommutativityGraph:
 
 # Per-frame GF(2) references: one row XOR per gate per frame, in the gate and
 # frame order that the builders of pearlmem.gf2 must reproduce.  Full matrices
-# (margin 0) only; interior_block cuts out what a builder returns at a margin,
-# and column_frames what the shift form returns over fewer column frames.
+# only; column_frames and interior_block cut out what the private builders
+# return over fewer column frames.
 
 
 def pearl_matrix_per_frame(enc: PearlNecklace, frames: int) -> Gf2Circuit:
@@ -181,38 +181,33 @@ def conv_matrix_per_frame(enc: PearlNecklace, gates, memory: int, frames: int) -
     return Gf2Circuit(frames, n, tuple(rows))
 
 
-def interior_block(full: Gf2Circuit, margin: int) -> Gf2Circuit:
-    """The rows and columns of frames margin..F-margin-1 of a full circuit,
-    as a builder returns them at that margin."""
+def column_frames(full: Gf2Circuit, columns: range) -> tuple[int, ...]:
+    """The rows of frames ``columns[0]`` to ``columns[-1]`` of a full
+    circuit, restricted to the columns of frames ``columns`` and packed from
+    bit 0, as the private builders of ``pearlmem.gf2`` return them."""
+    w = full.frame_width
+    rows = full.rows[columns[0] * w : (columns[-1] + 1) * w]
+    return tuple(
+        sum(((row >> f * w) & ((1 << w) - 1)) << k * w for k, f in enumerate(columns))
+        for row in rows
+    )
+
+
+def interior_block(full: Gf2Circuit, margin: int) -> tuple[int, ...]:
+    """The rows and columns of frames margin..F-margin-1 of a full circuit."""
     lo = margin * full.frame_width
     hi = len(full.rows) - lo
-    width = (1 << (hi - lo)) - 1
-    rows = tuple((row >> lo) & width for row in full.rows[lo:hi])
-    return Gf2Circuit(full.frames, full.frame_width, rows, margin)
-
-
-def column_frames(circuit: Gf2Circuit, columns: range) -> Gf2Circuit:
-    """A circuit built at its margin, with its rows restricted to the columns
-    of frames ``columns`` and packed from bit 0, as ``_pearl_matrix`` over
-    those columns returns it."""
-    w = circuit.frame_width
-    shifts = [(f - circuit.margin) * w for f in columns]
-    rows = tuple(
-        sum(((row >> s) & ((1 << w) - 1)) << k * w for k, s in enumerate(shifts))
-        for row in circuit.rows
-    )
-    return circuit._replace(rows=rows)
+    return tuple((row >> lo) & ((1 << (hi - lo)) - 1) for row in full.rows[lo:hi])
 
 
 def interior_verdict(enc: PearlNecklace, fa: FrameAssignment, frames: int | None = None) -> bool:
-    """What ``realization_check`` must read: both builders over every
-    interior column at the fitted margin, compared by ``interior_equal``."""
+    """What ``realization_check`` must read: the full matrices of the public
+    builders compared by ``interior_equal`` at the fitted margin."""
     if frames is None:
         frames = 3 * default_margin(enc, fa.memory)
-    margin = fitted_margin(enc, fa.memory, frames)
-    pearl = pearl_matrix(enc, frames, margin)
-    conv = conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames, margin)
-    return interior_equal(pearl, conv, margin)
+    pearl = pearl_matrix(enc, frames)
+    conv = conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames)
+    return interior_equal(pearl, conv, fitted_margin(enc, fa.memory, frames))
 
 
 def gf2_rank(rows) -> int:

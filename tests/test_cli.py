@@ -443,9 +443,6 @@ def test_selftest_reports_oracle_failures(monkeypatch, capsys):
     def overcounted(enc, bound):
         return real(enc, bound) + 1
 
-    def unequal(a, b, margin):
-        return False
-
     def failed(reasons):
         pairs = enumerate(zip(reasons, SELFTEST_SEED1))
         lines = "".join(f"  instance {i}: {r} [{src}]\n" for i, (r, src) in pairs)
@@ -458,7 +455,7 @@ def test_selftest_reports_oracle_failures(monkeypatch, capsys):
         reasons = [f"brute force found {m + 1}, linear core found {m}" for m in (6, 7, 7)]
         assert capsys.readouterr().out == failed(reasons)
     with monkeypatch.context() as patch:
-        patch.setattr(pearlmem.gf2, "interior_equal", unequal)
+        patch.setattr(pearlmem.gf2, "_conv_matrix", lambda *args: ())  # no rows
         assert main(argv) == 2
         reasons = [f"GF(2) interiors differ (frames={3 * m}, margin={m})" for m in (10, 11, 11)]
         assert capsys.readouterr().out == failed(reasons)
@@ -585,7 +582,7 @@ import pearlmem.gf2
 from pearlmem.cli import main
 real = pearlmem.gf2.brute_force_min_memory
 pearlmem.gf2.brute_force_min_memory = lambda enc, bound: real(enc, bound) + 1
-pearlmem.gf2.interior_equal = lambda a, b, margin: False
+pearlmem.gf2._conv_matrix = lambda *args: ()  # no rows, so never equal
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -651,7 +648,7 @@ class _GoneReader:
 def test_a_mismatch_exits_2_after_the_reader_has_gone(failing, monkeypatch, tmp_path, capsys):
     real = pearlmem.gf2.brute_force_min_memory
     monkeypatch.setattr(pearlmem.gf2, "brute_force_min_memory", lambda e, b: real(e, b) + 1)
-    monkeypatch.setattr(pearlmem.gf2, "interior_equal", lambda a, b, margin: False)
+    monkeypatch.setattr(pearlmem.gf2, "_conv_matrix", lambda *args: ())  # no rows
     complaint = f"{EXAMPLE1}: brute-force memory disagrees with the graph analysis\n"
     unequal = (
         f"{EXAMPLE1}: convolutional realization does not match the "

@@ -333,11 +333,12 @@ def _corrupted(rng, gates, memory):
 
 
 def test_builders_match_per_frame_references():
-    """At margin 0 the public builders give the per-frame and dense matrices;
-    at every valid margin they give those matrices' interior block, and every
-    comparison the block allows agrees with the full matrices.  The seeded
-    encoders include chains of both signs, degrees beyond the window, one-frame
-    windows and corrupted block gates, so both verdicts occur."""
+    """The public builders give the per-frame and dense matrices; at every
+    valid margin the private builders over every interior column give those
+    matrices' interior block, and their verdict agrees with the full
+    matrices'.  The seeded encoders include chains of both signs, degrees
+    beyond the window, one-frame windows and corrupted block gates, so both
+    verdicts occur."""
     rng = random.Random(7)
     verdicts = {True: 0, False: 0}
     chains = long_degrees = corrupted_false = 0
@@ -366,16 +367,15 @@ def test_builders_match_per_frame_references():
                     dense = dense_conv_matrix(enc, gates, fa.memory, frames)
                     assert dense_rows(conv.rows, size) == dense
             for margin in range((frames + 1) // 2):
-                inner = pearl_matrix(enc, frames, margin)
+                interior = range(margin, frames - margin)
+                inner = pearlmem.gf2._pearl_matrix(enc, frames, interior)
                 assert inner == interior_block(pearl, margin)
                 if conv is None:
                     continue
-                inner_conv = conv_matrix(enc, gates, fa.memory, frames, margin)
+                inner_conv = pearlmem.gf2._conv_matrix(enc, gates, fa.memory, frames, interior)
                 assert inner_conv == interior_block(conv, margin)
-                for wider in range(margin, (frames + 1) // 2):
-                    verdict = interior_equal(inner, inner_conv, wider)
-                    assert verdict == interior_equal(pearl, conv, wider)
-                verdict = interior_equal(inner, inner_conv, margin)
+                verdict = inner == inner_conv
+                assert verdict == interior_equal(pearl, conv, margin)
                 verdicts[verdict] += 1
                 corrupted_false += corrupt and not verdict
     assert chains > 50 and long_degrees > 50 and corrupted_false > 50
@@ -445,10 +445,9 @@ def test_band_verdict_equals_the_interior_verdict():
         assert result == {"frames": frames, "interior_equal": False, "margin": margin}
         assert not interior_verdict(enc, fa)
         columns = range(margin, frames - margin, frames - 2 * margin - 1)  # the band
-        band = pearlmem.gf2._pearl_matrix(enc, frames, margin, columns)
+        band = pearlmem.gf2._pearl_matrix(enc, frames, columns)
         block = conv_encoder_gates(enc, fa)
-        band_conv = pearlmem.gf2._conv_matrix(enc, block, memory, frames, margin, columns)
-        assert interior_equal(band, band_conv, margin)
+        assert band == pearlmem.gf2._conv_matrix(enc, block, memory, frames, columns)
 
 
 def test_largest_fall():
@@ -463,11 +462,9 @@ def test_largest_fall():
     assert _largest_fall(make_encoder([(1, 2, -2), (2, 2, 4), (2, 3, 1), (3, 1, -3)], 3)) == 4
 
 
-def _is_block_toeplitz(circuit):
+def _is_block_toeplitz(rows, w):
     """Entry (r, c) equals entry (r + w, c + w) wherever both lie inside."""
-    w = circuit.frame_width
-    inner = (1 << (len(circuit.rows) - w)) - 1
-    rows = circuit.rows
+    inner = (1 << (len(rows) - w)) - 1
     return all(rows[r] & inner == (rows[r + w] >> w) & inner for r in range(len(rows) - w))
 
 
@@ -491,8 +488,10 @@ def test_fall_bounds_and_shift_invariant_interiors():
         ):
             frames = rng.randint(memory + 1, 3 * default_margin(enc, memory))
             margin = fitted_margin(enc, memory, frames)
-            pearl = _is_block_toeplitz(pearl_matrix(enc, frames, margin))
-            conv = _is_block_toeplitz(conv_matrix(enc, gates, memory, frames, margin))
+            w = enc.frame_width
+            pearl = _is_block_toeplitz(interior_block(pearl_matrix(enc, frames), margin), w)
+            conv = conv_matrix(enc, gates, memory, frames)
+            conv = _is_block_toeplitz(interior_block(conv, margin), w)
             if margin >= max(memory, fall):
                 assert pearl and conv, (render(enc), gates, frames)
                 toeplitz += 1
@@ -507,27 +506,32 @@ def test_benchmark_verify_shapes_take_the_band(monkeypatch, width, frames):
     """The benchmark's verify calls (N = 500 at width 4 in 744 frames, N =
     1000 at width 64 in 174 frames) must simulate two column frames, not
     every interior column: each row holds at most 2 * width bits.  Neither
-    they nor a window below the guard run the slice builder."""
+    they nor a window below the guard run the slice builder, a full circuit
+    or its comparison."""
     n = {4: 500, 64: 1000}[width]
     enc = make_encoder(seeded_gates(random.Random(1), n, width, 3), width)
     fa = frame_assignment(enc)
-    compared = []
-    real = pearlmem.gf2.interior_equal
+    built = []
 
-    def capture(a, b, margin):
-        compared.append((a, b))
-        return real(a, b, margin)
+    def capture(builder):
+        def build(*args):
+            built.append(builder(*args))
+            return built[-1]
+
+        return build
 
     def refuse(*args):
-        raise AssertionError("slice builder called")
+        raise AssertionError("slice builder or full circuit used")
 
-    monkeypatch.setattr(pearlmem.gf2, "interior_equal", capture)
-    monkeypatch.setattr(pearlmem.gf2, "pearl_matrix", refuse)
+    for name in ("_pearl_matrix", "_conv_matrix"):
+        monkeypatch.setattr(pearlmem.gf2, name, capture(getattr(pearlmem.gf2, name)))
+    for name in ("pearl_matrix", "interior_equal", "Gf2Circuit"):
+        monkeypatch.setattr(pearlmem.gf2, name, refuse)
     result = realization_check(enc, fa, frames)
     assert result["interior_equal"] and result["margin"] >= fa.memory
     assert (result["frames"] - 2 * result["margin"]) > 2  # the band is narrower
-    [(pearl, conv)] = compared
-    assert all(row < 1 << 2 * width for row in pearl.rows + conv.rows)
+    [pearl, conv] = built
+    assert all(row < 1 << 2 * width for row in pearl + conv)
     # example1 at 6 frames: margin 2 < memory 3, so every interior column.
     example = parse(corpus_path("example1.pne").read_text())
     result = realization_check(example, frame_assignment(example), 6)
@@ -536,9 +540,10 @@ def test_benchmark_verify_shapes_take_the_band(monkeypatch, width, frames):
 
 @pytest.mark.parametrize("width", [4, 64])
 def test_builders_match_per_frame_references_at_scale(width):
-    """At N = 300 the builders give the interior block of the per-frame
-    matrices at every margin tried, for the derived block and for a corrupted
-    one, and the shift form gives its band."""
+    """At N = 300 the public builders give the per-frame matrices, the
+    private builders their interior block at every margin tried, for the
+    derived block and for a corrupted one, and the shift form gives its
+    band."""
     rng = random.Random(300 + width)
     enc = make_encoder(seeded_gates(rng, 300, width, 3), width)
     fa = frame_assignment(enc)
@@ -549,26 +554,30 @@ def test_builders_match_per_frame_references_at_scale(width):
     pearl = pearl_matrix_per_frame(enc, frames)
     conv = conv_matrix_per_frame(enc, block, fa.memory, frames)
     wrong_conv = conv_matrix_per_frame(enc, wrong, fa.memory, frames)
+    assert pearl_matrix(enc, frames) == pearl
+    assert conv_matrix(enc, block, fa.memory, frames) == conv
+    assert conv_matrix(enc, wrong, fa.memory, frames) == wrong_conv
     for m in (1, margin // 2, margin - 1, margin, (frames - 1) // 2):
-        inner = pearl_matrix(enc, frames, m)
-        inner_conv = conv_matrix(enc, block, fa.memory, frames, m)
-        inner_wrong = conv_matrix(enc, wrong, fa.memory, frames, m)
+        interior = range(m, frames - m)
+        inner = pearlmem.gf2._pearl_matrix(enc, frames, interior)
+        inner_conv = pearlmem.gf2._conv_matrix(enc, block, fa.memory, frames, interior)
+        inner_wrong = pearlmem.gf2._conv_matrix(enc, wrong, fa.memory, frames, interior)
         assert inner == interior_block(pearl, m)
         assert inner_conv == interior_block(conv, m)
         assert inner_wrong == interior_block(wrong_conv, m)
-        band = range(m, frames - m, max(frames - 2 * m - 1, 1))
-        assert pearlmem.gf2._pearl_matrix(enc, frames, m, band) == column_frames(inner, band)
+        band = interior[:: max(len(interior) - 1, 1)]
+        assert pearlmem.gf2._pearl_matrix(enc, frames, band) == column_frames(pearl, band)
         if m == margin:
-            assert interior_equal(inner, inner_conv, m)
-            assert not interior_equal(inner, inner_wrong, m)
+            assert inner == inner_conv and interior_equal(pearl, conv, m)
+            assert inner != inner_wrong and not interior_equal(pearl, wrong_conv, m)
 
 
 def test_shift_form_equals_the_slice_form():
-    """``_pearl_matrix`` over every interior column equals ``pearl_matrix``,
-    and over the band it equals those rows restricted to the band's column
-    frames.  Widths 1-9 and 64 give steps of 8, 16, 24 and 128 bits; degrees
-    reach past the window, chains of both signs occur, and the windows include
-    1 and 2 frames and bands of one frame."""
+    """``_pearl_matrix`` over every interior column equals the interior block
+    of ``pearl_matrix``, and over the band it equals those rows restricted to
+    the band's column frames.  Widths 1-9 and 64 give steps of 8, 16, 24 and
+    128 bits; degrees reach past the window, chains of both signs occur, and
+    the windows include 1 and 2 frames and bands of one frame."""
     rng = random.Random(25)
     steps, long_degrees, chains, one_frame_bands = set(), 0, 0, 0
     for i in range(600):
@@ -582,45 +591,44 @@ def test_shift_form_equals_the_slice_form():
         )
         for frames in (1, 2, rng.randint(3, 20)):
             long_degrees += any(abs(l) >= frames for _, _, l in enc.strings)
+            full = pearl_matrix(enc, frames)
             for margin in range((frames + 1) // 2):
                 interior = range(margin, frames - margin)
-                inner = pearl_matrix(enc, frames, margin)
-                assert pearlmem.gf2._pearl_matrix(enc, frames, margin, interior) == inner
+                inner = interior_block(full, margin)
+                assert pearlmem.gf2._pearl_matrix(enc, frames, interior) == inner
                 band = interior[:: max(len(interior) - 1, 1)]
-                shifted = pearlmem.gf2._pearl_matrix(enc, frames, margin, band)
-                assert shifted == column_frames(inner, band), (render(enc), frames, margin)
+                shifted = pearlmem.gf2._pearl_matrix(enc, frames, band)
+                assert shifted == column_frames(full, band), (render(enc), frames, margin)
                 steps.add(-(-len(band) * enc.frame_width // 8) * 8)
                 one_frame_bands += len(band) == 1
     assert {8, 16, 24, 128} <= steps
     assert long_degrees > 1000 and chains > 200 and one_frame_bands > 800
 
 
-def test_interior_equal_rejects_mismatched_margins():
+def test_interior_equal_rejects_a_margin_without_interior():
+    # The public builders give full circuits only; interior_equal takes the
+    # margin, and what it reads there is what the private builders return.
     enc = make_encoder(POS_GATES)
     fa = frame_assignment(enc)
     gates = conv_encoder_gates(enc, fa)
-    full = conv_matrix(enc, gates, fa.memory, 12)
-    pearl, conv = pearl_matrix(enc, 12, 2), conv_matrix(enc, gates, fa.memory, 12, 2)
-    assert len(pearl.rows) == (12 - 4) * 3
-    with pytest.raises(ValueError, match="built at margins 2 and 0"):
-        interior_equal(pearl, full, 2)
-    with pytest.raises(ValueError, match="built at margin 2 cannot be compared at margin 1"):
-        interior_equal(pearl, conv, 1)
-    with pytest.raises(ValueError, match="margin 6 leaves no interior in 12 frames"):
-        interior_equal(pearl, conv, 6)
-    for margin in range(2, 6):
-        assert interior_equal(pearl, conv, margin) == interior_equal(
-            pearl_matrix(enc, 12), full, margin
+    pearl, conv = pearl_matrix(enc, 12), conv_matrix(enc, gates, fa.memory, 12)
+    assert len(pearl.rows) == len(conv.rows) == 12 * 3
+    for margin in (6, -1):
+        with pytest.raises(ValueError, match=f"margin {margin} leaves no interior in 12 frames"):
+            interior_equal(pearl, conv, margin)
+    for margin in range(6):
+        interior = range(margin, 12 - margin)
+        verdict = pearlmem.gf2._pearl_matrix(enc, 12, interior) == pearlmem.gf2._conv_matrix(
+            enc, gates, fa.memory, 12, interior
         )
-    with pytest.raises(ValueError, match="margin 6 leaves no interior in 12 frames"):
-        pearl_matrix(enc, 12, 6)
-    with pytest.raises(ValueError, match="margin -1 leaves no interior"):
-        conv_matrix(enc, gates, fa.memory, 12, -1)
-    assert Gf2Circuit(4, 2, (1, 2, 4, 8), 1).margin == 1
+        assert interior_equal(pearl, conv, margin) == verdict == (margin >= 2), margin
+    with pytest.raises(TypeError):
+        pearl_matrix(enc, 12, 2)
+    with pytest.raises(TypeError):
+        conv_matrix(enc, gates, fa.memory, 12, 2)
+    assert Gf2Circuit._fields == ("frames", "frame_width", "rows")
     with pytest.raises(ValueError, match="8 rows != 4"):
-        Gf2Circuit(4, 2, (0,) * 8, 1)
-    with pytest.raises(ValueError, match="margin 2 leaves no interior in 4 frames"):
-        Gf2Circuit(4, 2, (), 2)
+        Gf2Circuit(2, 2, (0,) * 8)
 
 
 def test_check_window_refuses_in_order():
@@ -635,12 +643,10 @@ def test_check_window_refuses_in_order():
         check_window(12, 3, 3, 6)
 
 
-def _gf2_peak_bytes(enc, gates, memory, frames, build_margin, margin):
+def _gf2_peak_bytes(compare):
     tracemalloc.start()
     try:
-        pearl = pearl_matrix(enc, frames, build_margin)
-        conv = conv_matrix(enc, gates, memory, frames, build_margin)
-        assert interior_equal(pearl, conv, margin)
+        assert compare()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -648,14 +654,23 @@ def _gf2_peak_bytes(enc, gates, memory, frames, build_margin, margin):
 
 def test_interior_columns_halve_the_peak_memory():
     """The benchmark's widest verify (N = 1000, width 64, 174 frames) holds
-    under half the bytes when built at the margin it is compared at."""
+    under half the bytes when only the interior columns it is compared at
+    are built, as against the full matrices."""
     enc = make_encoder(seeded_gates(random.Random(1000), 1000, 64, 3), 64)
     fa = frame_assignment(enc)
     block = conv_encoder_gates(enc, fa)
     margin = fitted_margin(enc, fa.memory, 174)
     assert margin == default_margin(enc, fa.memory)  # the full margin fits
-    full = _gf2_peak_bytes(enc, block, fa.memory, 174, 0, margin)
-    interior = _gf2_peak_bytes(enc, block, fa.memory, 174, margin, margin)
+    full = _gf2_peak_bytes(
+        lambda: interior_equal(
+            pearl_matrix(enc, 174), conv_matrix(enc, block, fa.memory, 174), margin
+        )
+    )
+    columns = range(margin, 174 - margin)
+    interior = _gf2_peak_bytes(
+        lambda: pearlmem.gf2._pearl_matrix(enc, 174, columns)
+        == pearlmem.gf2._conv_matrix(enc, block, fa.memory, 174, columns)
+    )
     assert interior < full / 2, (interior, full)
 
 

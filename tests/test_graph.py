@@ -22,7 +22,7 @@ from hypothesis import given
 
 from pearlmem import PearlNecklace, build_graph, parse, to_dot
 from pearlmem.corpus import corpus_files
-from pearlmem.graph import START, write_dot
+from pearlmem.graph import START, _collisions, _span, write_dot
 from pearlmem.model import constraint_set
 from pearlmem.selftest import random_encoder
 
@@ -262,19 +262,47 @@ def test_streamed_dot_memory_follows_the_strings_not_the_edges():
     # CNOT(1,1)(D^k), k = 1..K, each twice: every pair collides, and most edge
     # keys and collision runs are distinct.  Holding every key's text and run
     # peaked at 17.4 MB for K = 300 and 69.3 MB for K = 600, growing with the
-    # edges (x 4); bounded by N, the peak can at most double with N.
-    peaks = []
-    for top in (300, 600):
-        enc = make_encoder([(1, 1, k) for k in range(1, top + 1) for _ in range(2)])
-        sink = _Comparing(to_dot(build_graph_pairwise(enc), enc))
-        tracemalloc.start()
-        try:
-            write_dot(enc, sink)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert sink.equal and sink.at == len(sink.text) > 5_000_000 * top // 600, top
-    assert peaks[1] < 2.5 * peaks[0] and peaks[1] < 5_000_000, peaks
+    # edges (x 4); bounded by N, the peak can at most double with N.  In the
+    # far-apart order, k = 1..K and then k = 1..K again, each class hands its
+    # lists on across K strings: holding them all peaked at 4.1 MB for K = 150
+    # and 16.2 MB for K = 300.
+    def peaks(tops, order):
+        found = []
+        for top in tops:
+            enc = make_encoder(order(top))
+            sink = _Comparing(to_dot(build_graph_pairwise(enc), enc))
+            tracemalloc.start()
+            try:
+                write_dot(enc, sink)
+                found.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sink.equal and sink.at == len(sink.text) > 4_000_000 * top**2 // 300**2, top
+        return found
+
+    adjacent = peaks((300, 600), lambda top: [(1, 1, k) for k in range(1, top + 1) for _ in "ab"])
+    assert adjacent[1] < 2.5 * adjacent[0] and adjacent[1] < 5_000_000, adjacent
+    far = peaks((150, 300), lambda top: [(1, 1, k) for _ in "ab" for k in range(1, top + 1)])
+    assert far[1] < 2.5 * far[0], far
+
+
+def test_a_class_renders_once_while_its_held_lists_fit_the_budget():
+    # A repeated class hands its lists on while the held lists hold at most
+    # 64(N + 2) keys, so each class is rendered once: on seeded N = 1000
+    # encoders at widths 4 and 64 the budget is never reached.  Classes
+    # that repeat K strings apart reach it, and some later strings render
+    # lists of their own.
+    def renders(enc):
+        calls = []
+        for _ in _collisions(enc.strings, _span(enc.strings), lambda k: calls.append(k) or k):
+            pass
+        return len(calls)
+
+    for width in (4, 64):
+        enc = make_encoder(seeded_gates(random.Random(1), 1000, width, 3), width)
+        assert renders(enc) == len(set(enc.strings)), width
+    far = make_encoder([(1, 1, k) for _ in "ab" for k in range(1, 301)])
+    assert 300 < renders(far) < 600
 
 
 def test_graph_work_follows_the_edges():
