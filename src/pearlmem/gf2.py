@@ -20,44 +20,35 @@ not parameters.
 A matrix is held as its rows, each a Python int used as a bitmask: bit c of
 row r is entry (r, c).  A CNOT from global qubit s to t XORs row s into row t.
 
-:func:`pearl_matrix` applies each gate string CNOT(a,b)(D^l) as one
-strided-slice operation over the rows of qubit a and qubit b, step n, instead
-of one row XOR per frame.  The slice form is exact:
-
-- when a != b, the source rows and the target rows are disjoint residues mod
-  n, so the order of the per-frame XORs does not matter;
-- when a == b and l < 0, frame s writes the earlier frame s + l, so every
-  source row is read before any gate of the string writes it;
-- when a == b and l > 0, frame s + l reads frame s after frame s has been
-  written: along each residue class of frames mod l the string is a prefix
-  XOR, one ``accumulate`` over a slice of step l*n.
-
 :func:`pearl_matrix` and :func:`conv_matrix` return the full matrix, a
 :class:`Gf2Circuit`, which :func:`interior_equal` compares away from the
-boundary.  :func:`realization_check` runs private builders that start from
-identity rows masked to some column frames, packed down to bit 0, and return
-as a plain tuple only the interior rows, those of the frames the columns span:
-equal tuples are equal interiors.  This is exact by linearity: a row XOR acts
-on each column separately, since (x ^ y) & mask == (x & mask) ^ (y & mask),
-so masking the start masks the result.
+boundary.  Each wraps the private builder of its side, which
+:func:`realization_check` runs: it starts from identity rows masked to some
+column frames, packed down to bit 0, and returns as a plain tuple only the
+interior rows, those of the frames the columns span: equal tuples are equal
+interiors.  This is exact by linearity: a row XOR acts on each column
+separately, since (x ^ y) & mask == (x & mask) ^ (y & mask), so masking the
+start masks the result.
 
-:func:`realization_check` builds the pearl-necklace side in shift form: x[q]
-holds the rows of qubit q, frame f at bits f*step.., with step the simulated
-columns' bits rounded up to whole bytes.  A string moves every frame at once,
-with full = (1 << F*step) - 1:
+The pearl-necklace side is built in shift form: x[q] holds the rows of qubit
+q, frame f at bits f*step.., with step the simulated columns' bits rounded up
+to whole bytes.  A string moves every frame at once, with
+full = (1 << F*step) - 1:
 
-- l < 0: x[b] ^= x[a] >> -l*step reads the old x[a], as the slice form reads
-  every source row first, and the targets below frame 0 fall off;
+- l < 0: x[b] ^= x[a] >> -l*step reads the old x[a], since each gate writes a
+  frame below every frame that a later gate of the string reads, and the
+  targets below frame 0 fall off;
 - l >= 0 and a != b: x[b] ^= (x[a] << l*step) & full drops the targets from
   frame F on;
-- a == b and l > 0: the prefix XOR by doubling, x[a] ^= (x[a] << k*step) &
-  full for k = l, 2l, 4l, ... < F.
+- a == b and l > 0: frame s + l reads frame s after frame s has been written,
+  so along each residue class of frames mod l the string is a prefix XOR, by
+  doubling: x[a] ^= (x[a] << k*step) & full for k = l, 2l, 4l, ... < F.
 
-Its cost follows the bits it simulates, so it suits two column frames, and
-the slice form the full matrix.  The convolutional builder skips the
-block offsets whose frames are all still zero or all dropped, exact by
-dataflow, and applies the block to a sliding window of ``memory + 1`` frames
-at fixed row indices.  Neither builder relies on the pair rule or the graph.
+Its cost follows the bits it simulates: two column frames for the band, all
+F for :func:`pearl_matrix`.  The convolutional builder skips the block
+offsets whose frames are all still zero or all dropped, exact by dataflow,
+and applies the block to a sliding window of ``memory + 1`` frames at fixed
+row indices.  Neither builder relies on the pair rule or the graph.
 
 :func:`realization_check` at margin M (I = F - 2M interior frames of w
 qubits) simulates only the columns of frames M and F-M-1, the band, when
@@ -83,8 +74,6 @@ to global frame p + (L - w) for block application p.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import xor
 from typing import Iterable, NamedTuple, Sequence
 
 from .assignment import FrameAssignment, conv_encoder_gates
@@ -164,20 +153,7 @@ def pearl_matrix(enc: PearlNecklace, frames: int) -> Gf2Circuit:
     """
     n = enc.frame_width
     check_window(frames, n, 0, 0)
-    rows = _identity(frames, n, range(frames))
-    for a, b, l in enc.strings:
-        if abs(l) >= frames:
-            continue  # every gate of the string straddles the window
-        if a == b and l > 0:
-            for r in range(l):  # a prefix XOR per residue class of frames mod l
-                chain = slice(r * n + a - 1, None, l * n)
-                rows[chain] = accumulate(rows[chain], xor)
-            continue
-        first, last = max(0, -l), min(frames, frames - l) - 1
-        src = slice(first * n + a - 1, last * n + a, n)
-        dst = slice((first + l) * n + b - 1, (last + l) * n + b, n)
-        rows[dst] = map(xor, rows[dst], rows[src])
-    return Gf2Circuit(frames, n, tuple(rows))
+    return Gf2Circuit(frames, n, _pearl_matrix(enc, frames, range(frames)))
 
 
 def _pearl_matrix(enc: PearlNecklace, frames: int, columns: range) -> tuple[int, ...]:

@@ -19,14 +19,7 @@ from pearlmem import (
     SourceText,
 )
 from pearlmem.assignment import FrameAssignment, conv_encoder_gates
-from pearlmem.gf2 import (
-    Gf2Circuit,
-    conv_matrix,
-    default_margin,
-    fitted_margin,
-    interior_equal,
-    pearl_matrix,
-)
+from pearlmem.gf2 import Gf2Circuit, default_margin, fitted_margin, interior_equal
 from pearlmem.graph import START
 from pearlmem.model import constraint_set
 from pearlmem.parser import RESERVED_GATES
@@ -201,12 +194,13 @@ def interior_block(full: Gf2Circuit, margin: int) -> tuple[int, ...]:
 
 
 def interior_verdict(enc: PearlNecklace, fa: FrameAssignment, frames: int | None = None) -> bool:
-    """What ``realization_check`` must read: the full matrices of the public
-    builders compared by ``interior_equal`` at the fitted margin."""
+    """What ``realization_check`` must read: the full per-frame reference
+    matrices compared by ``interior_equal`` at the fitted margin.  Neither
+    side runs a builder of ``realization_check``."""
     if frames is None:
         frames = 3 * default_margin(enc, fa.memory)
-    pearl = pearl_matrix(enc, frames)
-    conv = conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames)
+    pearl = pearl_matrix_per_frame(enc, frames)
+    conv = conv_matrix_per_frame(enc, conv_encoder_gates(enc, fa), fa.memory, frames)
     return interior_equal(pearl, conv, fitted_margin(enc, fa.memory, frames))
 
 

@@ -506,8 +506,7 @@ def test_benchmark_verify_shapes_take_the_band(monkeypatch, width, frames):
     """The benchmark's verify calls (N = 500 at width 4 in 744 frames, N =
     1000 at width 64 in 174 frames) must simulate two column frames, not
     every interior column: each row holds at most 2 * width bits.  Neither
-    they nor a window below the guard run the slice builder, a full circuit
-    or its comparison."""
+    they nor a window below the guard build or compare a full circuit."""
     n = {4: 500, 64: 1000}[width]
     enc = make_encoder(seeded_gates(random.Random(1), n, width, 3), width)
     fa = frame_assignment(enc)
@@ -521,7 +520,7 @@ def test_benchmark_verify_shapes_take_the_band(monkeypatch, width, frames):
         return build
 
     def refuse(*args):
-        raise AssertionError("slice builder or full circuit used")
+        raise AssertionError("full circuit used")
 
     for name in ("_pearl_matrix", "_conv_matrix"):
         monkeypatch.setattr(pearlmem.gf2, name, capture(getattr(pearlmem.gf2, name)))
@@ -572,12 +571,13 @@ def test_builders_match_per_frame_references_at_scale(width):
             assert inner != inner_wrong and not interior_equal(pearl, wrong_conv, m)
 
 
-def test_shift_form_equals_the_slice_form():
+def test_shift_form_equals_the_per_frame_reference():
     """``_pearl_matrix`` over every interior column equals the interior block
-    of ``pearl_matrix``, and over the band it equals those rows restricted to
-    the band's column frames.  Widths 1-9 and 64 give steps of 8, 16, 24 and
-    128 bits; degrees reach past the window, chains of both signs occur, and
-    the windows include 1 and 2 frames and bands of one frame."""
+    of ``pearl_matrix_per_frame``, and over the band it equals those rows
+    restricted to the band's column frames.  Widths 1-9 and 64 give steps of
+    8, 16, 24 and 128 bits; degrees reach past the window, chains of both
+    signs occur, and the windows include 1 and 2 frames and bands of one
+    frame."""
     rng = random.Random(25)
     steps, long_degrees, chains, one_frame_bands = set(), 0, 0, 0
     for i in range(600):
@@ -591,7 +591,7 @@ def test_shift_form_equals_the_slice_form():
         )
         for frames in (1, 2, rng.randint(3, 20)):
             long_degrees += any(abs(l) >= frames for _, _, l in enc.strings)
-            full = pearl_matrix(enc, frames)
+            full = pearl_matrix_per_frame(enc, frames)
             for margin in range((frames + 1) // 2):
                 interior = range(margin, frames - margin)
                 inner = interior_block(full, margin)

@@ -265,7 +265,9 @@ def test_streamed_dot_memory_follows_the_strings_not_the_edges():
     # edges (x 4); bounded by N, the peak can at most double with N.  In the
     # far-apart order, k = 1..K and then k = 1..K again, each class hands its
     # lists on across K strings: holding them all peaked at 4.1 MB for K = 150
-    # and 16.2 MB for K = 300.
+    # and 16.2 MB for K = 300.  With negative degrees the target-source runs
+    # are distinct too: clearing only the source-target runs at the cap
+    # peaked at 1.2 MB for K = 150 and 4.2 MB for K = 300.
     def peaks(tops, order):
         found = []
         for top in tops:
@@ -284,6 +286,8 @@ def test_streamed_dot_memory_follows_the_strings_not_the_edges():
     assert adjacent[1] < 2.5 * adjacent[0] and adjacent[1] < 5_000_000, adjacent
     far = peaks((150, 300), lambda top: [(1, 1, k) for _ in "ab" for k in range(1, top + 1)])
     assert far[1] < 2.5 * far[0], far
+    falling = peaks((150, 300), lambda top: [(1, 1, -k) for k in range(1, top + 1) for _ in "ab"])
+    assert falling[1] < 2.5 * falling[0], falling
 
 
 def test_a_class_renders_once_while_its_held_lists_fit_the_budget():
