@@ -5,43 +5,49 @@ without building the DAG.  The DAG itself is built for DOT output and as an
 oracle, next to a GF(2) simulation and a brute-force search.
 
 The top level holds the analysis API; the oracles stay in their modules, such
-as ``pearlmem.gf2``, and ``import pearlmem`` binds every submodule."""
-
-from . import assignment, corpus, gf2, graph, model, parser, report, selftest
-from .assignment import FrameAssignment, LongestPath, frame_assignment
-from .corpus import corpus_path
-from .graph import CommutativityGraph, build_graph, to_dot
-from .model import GateString, PearlNecklace
-from .parser import (
-    EncoderSemanticError,
-    EncoderSyntaxError,
-    ParseError,
-    SourceText,
-    parse,
-    render,
-)
-from .report import AnalysisReport, analyze, to_json, to_text
+as ``pearlmem.gf2``.  ``import pearlmem`` loads no submodule: each public name
+and each submodule is bound on first use (PEP 562), so a caller loads only
+the modules it runs."""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "CommutativityGraph",
-    "EncoderSemanticError",
-    "EncoderSyntaxError",
-    "FrameAssignment",
-    "GateString",
-    "LongestPath",
-    "ParseError",
-    "PearlNecklace",
-    "SourceText",
-    "analyze",
-    "build_graph",
-    "corpus_path",
-    "frame_assignment",
-    "parse",
-    "render",
-    "to_dot",
-    "to_json",
-    "to_text",
-]
+# Each public name and the submodule it lives in.
+_HOMES = {
+    "AnalysisReport": "report",
+    "CommutativityGraph": "graph",
+    "EncoderSemanticError": "parser",
+    "EncoderSyntaxError": "parser",
+    "FrameAssignment": "assignment",
+    "GateString": "model",
+    "LongestPath": "assignment",
+    "ParseError": "parser",
+    "PearlNecklace": "model",
+    "SourceText": "parser",
+    "analyze": "report",
+    "build_graph": "graph",
+    "corpus_path": "corpus",
+    "frame_assignment": "assignment",
+    "parse": "parser",
+    "render": "parser",
+    "to_dot": "graph",
+    "to_json": "report",
+    "to_text": "report",
+}
+__all__ = sorted(_HOMES)
+_SUBMODULES = {*_HOMES.values(), "gf2", "selftest"}
+
+
+def __getattr__(name: str) -> object:
+    """Import a submodule, which the import system then binds here, or the
+    home of a public name, whose value is then bound here."""
+    if name in _SUBMODULES:
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(__getattr__(_HOMES[name]), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES, *_SUBMODULES})

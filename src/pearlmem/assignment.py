@@ -21,21 +21,16 @@ whose weights sum to the memory bounds it from below.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .graph import START, CommutativityGraph
 from .model import PearlNecklace
 
 
-class LongestPath(NamedTuple):
-    """Longest-path weights plus one maximizing path, a relaxation counter and
-    the number of edges of the commutativity graph."""
-
-    gate_weights: tuple[int, ...]
-    end_weight: int
-    path: tuple[int, ...]  # vertex ordinals, START first, END last
-    relaxations: int
-    edge_count: int
+LongestPath = namedtuple("LongestPath", "gate_weights end_weight path relaxations edge_count")
+LongestPath.__doc__ = """Longest-path weights plus one maximizing path (vertex
+ordinals, START first, END last), a relaxation counter and the number of
+edges of the commutativity graph."""
 
 
 def longest_path_weights(g: CommutativityGraph) -> LongestPath:
@@ -156,13 +151,8 @@ def longest_path_linear(enc: PearlNecklace) -> LongestPath:
     )
 
 
-class FrameAssignment(NamedTuple):
-    """Per gate string, convolutional-encoder frame indices and the memory."""
-
-    sigma: tuple[int, ...]
-    tau: tuple[int, ...]
-    memory: int
-    memory_qubits: int
+FrameAssignment = namedtuple("FrameAssignment", "sigma tau memory memory_qubits")
+FrameAssignment.__doc__ = "Per gate string, convolutional-encoder frame indices and the memory."
 
 
 def assignment_from_weights(enc: PearlNecklace, lp: LongestPath) -> FrameAssignment:

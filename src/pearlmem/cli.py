@@ -18,23 +18,22 @@ writer, which refuses a graph over ``graph.MAX_DOT_EDGES`` by the core's edge
 count before writing anything, and never builds the graph.  ``verify`` and
 ``brute-check`` run a ``gf2`` check, which works out its own margin or bound
 and makes its own refusals, and return the JSON report with the check's
-result under ``verification`` or a one-line result.
+result under ``verification`` or a one-line result.  Each subcommand imports
+what only it runs (``gf2``, ``selftest``, ``json``) when it runs, so
+``analyze`` and ``dot`` load no oracle.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from .assignment import longest_path_linear
-from .gf2 import brute_check, realization_check
 from .graph import check_dot_edges, write_dot
 from .model import PearlNecklace
 from .parser import EncoderSyntaxError, ParseError, SourceText, parse
 from .report import analyze, to_json, to_text
-from .selftest import run_selftest
 
 
 def _universal_newlines(text: str) -> str:
@@ -43,7 +42,8 @@ def _universal_newlines(text: str) -> str:
 
 
 def _load_encoder(path: str) -> PearlNecklace:
-    data = Path(path).read_bytes()
+    with open(path, "rb") as file:
+        data = file.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -82,6 +82,8 @@ def _cmd_dot(args: SimpleNamespace) -> tuple[str, int, str | None]:
 
 
 def _cmd_verify(args: SimpleNamespace) -> tuple[str, int, str | None]:
+    from .gf2 import realization_check
+
     enc = _load_encoder(args.file)
     report = analyze(enc)
     result = realization_check(enc, report.assignment, args.frames)
@@ -99,6 +101,8 @@ def _cmd_verify(args: SimpleNamespace) -> tuple[str, int, str | None]:
 
 
 def _cmd_brute_check(args: SimpleNamespace) -> tuple[str, int, str | None]:
+    from .gf2 import brute_check
+
     enc = _load_encoder(args.file)
     report = analyze(enc)
     memory = report.assignment.memory
@@ -115,6 +119,8 @@ def _cmd_brute_check(args: SimpleNamespace) -> tuple[str, int, str | None]:
 
 
 def _cmd_selftest(args: SimpleNamespace) -> tuple[str, int, str | None]:
+    from .selftest import run_selftest
+
     failures = run_selftest(seed=args.seed, count=args.count)
     if args.json:
         import json  # only JSON output needs it; start-up stays lean

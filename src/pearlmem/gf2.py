@@ -74,7 +74,8 @@ to global frame p + (L - w) for block application p.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .assignment import FrameAssignment, conv_encoder_gates
 from .model import PearlNecklace
@@ -88,13 +89,7 @@ MAX_QUBITS = 1 << 15
 MAX_BRUTE_STRINGS = 18
 
 
-class _CircuitFields(NamedTuple):
-    frames: int
-    frame_width: int
-    rows: tuple[int, ...]
-
-
-class Gf2Circuit(_CircuitFields):
+class Gf2Circuit(namedtuple("Gf2Circuit", "frames frame_width rows")):
     """Linear action of a CNOT circuit on F frames of ``frame_width`` qubits:
     bit c of ``rows[r]`` is entry (r, c)."""
 

@@ -42,9 +42,9 @@ as the oracle that the linear search is checked against.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from collections.abc import Callable, Iterator, Sequence
-from typing import NamedTuple, TextIO
+from io import TextIOBase
 
 from .model import GateString, PearlNecklace
 
@@ -58,12 +58,11 @@ MAX_DOT_EDGES = 10**7
 DOT_BATCH = 1 << 16
 
 
-class CommutativityGraph(NamedTuple):
+class CommutativityGraph(namedtuple("CommutativityGraph", "gate_count edges")):
     """Immutable weighted DAG; its edges are ``(src, dst, weight)`` triples
     sorted in that order."""
 
-    gate_count: int
-    edges: tuple[tuple[int, int, int], ...]
+    __slots__ = ()
 
     @property
     def end(self) -> int:
@@ -245,7 +244,7 @@ class _EdgeLines(dict):
         return [*map(self.__getitem__, keys)]
 
 
-def write_dot(enc: PearlNecklace, out: TextIO) -> None:
+def write_dot(enc: PearlNecklace, out: TextIOBase) -> None:
     """Write ``to_dot(build_graph(enc), enc)`` to ``out`` without holding the
     edges.  The text of each edge key is formatted once while it is held, and
     the lines of each class (a, b, l) are looked up once, at its first string

@@ -11,19 +11,22 @@ The records own the encoder's value rules and raise ``ValueError`` on any
 value they refuse; the parser repeats the rules only to position its errors.
 
 The package's records are immutable values, and every one is a
-``typing.NamedTuple`` class or a subclass of one, so they unpack, compare
-equal to plain tuples of the same fields and copy with ``_replace``.  Those
-that validate their fields (``GateString``, ``PearlNecklace``, and
-``gf2.Gf2Circuit``, a full matrix whose rows number frames x frame_width) are
-slotted subclasses that do so in ``__new__``, which ``_replace`` also goes
-through.  ``report.AnalysisReport`` keeps its graph cache outside the tuple,
-so the cache takes no part in its equality.  No record is a dataclass:
-generating their code would cost more than the rest of the package's import.
+``collections.namedtuple`` class or a subclass of one, so they unpack,
+compare equal to plain tuples of the same fields, pickle and copy with
+``_replace``.  Those that validate their fields (``GateString``,
+``PearlNecklace``, and ``gf2.Gf2Circuit``, a full matrix whose rows number
+frames x frame_width) do so in ``__new__``, which ``_make`` and so
+``_replace`` also go through.  ``report.AnalysisReport`` keeps its graph
+cache outside the tuple, so the cache takes no part in its equality.  A
+record costs one ``namedtuple`` call at import; a ``typing.NamedTuple`` would
+also import ``typing`` and compile each field's annotation, and a dataclass
+would generate and compile its methods.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 
 def degree_notation(degree: int) -> str:
@@ -35,13 +38,7 @@ def degree_notation(degree: int) -> str:
     return f"D^{degree}"
 
 
-class _GateFields(NamedTuple):
-    source: int
-    target: int
-    degree: int
-
-
-class GateString(_GateFields):
+class GateString(namedtuple("GateString", "source target degree")):
     """One repeated CNOT string: qubit ``source`` of every frame controls qubit
     ``target`` of the frame ``degree`` frames later.
 
@@ -67,12 +64,7 @@ class GateString(_GateFields):
         return f"CNOT({self.source},{self.target})({degree_notation(self.degree)})"
 
 
-class _EncoderFields(NamedTuple):
-    strings: tuple[GateString, ...]
-    frame_width: int
-
-
-class PearlNecklace(_EncoderFields):
+class PearlNecklace(namedtuple("PearlNecklace", "strings frame_width")):
     """An ordered succession of gate strings over frames of ``frame_width`` qubits.
 
     When ``frame_width`` is omitted it defaults to the largest qubit index

@@ -33,18 +33,15 @@ other spellings, such as ``CNOT (1 ,2)(D ^ 3)``.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .model import GateString, PearlNecklace
 
 RESERVED_GATES = frozenset({"H", "P", "CPHASE"})
 
 
-class SourceText(NamedTuple):
-    """Input text plus a display name for diagnostics."""
-
-    content: str
-    name: str = "<input>"
+SourceText = namedtuple("SourceText", "content name", defaults=("<input>",))
+SourceText.__doc__ = "Input text plus a display name for diagnostics."
 
 
 class ParseError(ValueError):

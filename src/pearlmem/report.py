@@ -4,8 +4,9 @@
 graph: both renderings read the vertex and edge counts and the critical path
 off the :class:`LongestPath`.  The graph is built only when ``report.graph``
 is first read; DOT output streams without it.  :class:`AnalysisReport` is a
-``NamedTuple`` record like the package's others; it keeps that cache in its
-instance dict, outside the tuple and so outside its equality.  The report
+subclass of a ``collections.namedtuple``, as the package's other records are
+or subclass one; it keeps that cache in its instance dict, outside the tuple
+and so outside its equality.  The report
 holds only the analysis; a checking subcommand's result reaches the JSON
 through ``to_json``'s ``verification`` argument.
 
@@ -19,8 +20,8 @@ do not import ``json``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .assignment import (
     FrameAssignment,
@@ -32,13 +33,7 @@ from .graph import START, CommutativityGraph, build_graph
 from .model import PearlNecklace
 
 
-class _ReportFields(NamedTuple):
-    encoder: PearlNecklace
-    search: LongestPath
-    assignment: FrameAssignment
-
-
-class AnalysisReport(_ReportFields):
+class AnalysisReport(namedtuple("AnalysisReport", "encoder search assignment")):
     """The encoder, its longest path and its frame assignment.  The graph
     cache lives in the instance dict, outside the tuple, so it takes no part
     in equality, and copies and pickles drop it."""

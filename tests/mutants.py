@@ -108,6 +108,20 @@ MUTANTS = (
         "st_runs, run_keys = {}, 0",
         ("tests/test_graph.py::test_streamed_dot_memory_follows_the_strings_not_the_edges",),
     ),
+    Mutant(
+        "CLI imports the GF(2) check at module level",
+        "cli.py",
+        "from .graph import check_dot_edges, write_dot\n",
+        "from .gf2 import realization_check\nfrom .graph import check_dot_edges, write_dot\n",
+        ("tests/test_cli.py::test_analyze_and_dot_load_no_oracle",),
+    ),
+    Mutant(
+        "package binds gf2 eagerly",
+        "__init__.py",
+        '__version__ = "0.1.0"\n',
+        'from . import gf2\n\n__version__ = "0.1.0"\n',
+        ("tests/test_surface.py::test_import_loads_no_submodule",),
+    ),
 )
 
 # Runs the named tests in a fresh interpreter, then checks that the package

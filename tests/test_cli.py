@@ -769,14 +769,18 @@ def test_line_endings_read_as_in_text_mode(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"{crlf}:3:1: ")
 
 
-def _assert_cli_leaves_out(*unwanted: str, argv: list[str] | None = None) -> None:
+def _assert_cli_leaves_out(
+    *unwanted: str, argv: list[str] | None = None, plain: bool = False
+) -> None:
     """Import the CLI in a fresh interpreter, run ``main(argv)`` if given, and
-    check that none of the ``unwanted`` modules was loaded."""
+    check that none of the ``unwanted`` modules was loaded.  A ``plain``
+    interpreter runs with ``-S``, so no site hook loads modules first."""
     src = str(Path(pearlmem.__file__).resolve().parents[1])
     run = "" if argv is None else f"pearlmem.cli.main({argv!r}); "
     subprocess.run(
         [
             sys.executable,
+            *(["-S"] if plain else []),
             "-c",
             f"import pearlmem.cli, sys; {run}loaded = set({unwanted!r}) & set(sys.modules); "
             "assert not loaded, loaded",
@@ -809,6 +813,23 @@ def test_analyze_json_does_not_import_json():
 def test_check_json_does_not_import_json(command):
     # A check's flat result is written from templates too.
     _assert_cli_leaves_out("json", argv=[command, EXAMPLE1, "--json"])
+
+
+def test_analyze_and_dot_load_no_oracle(tmp_path):
+    # Only verify, brute-check and selftest run the oracles; nothing that the
+    # CLI runs needs the corpus.
+    for argv in (
+        ["analyze", EXAMPLE1],
+        ["analyze", EXAMPLE1, "--json"],
+        ["analyze", EXAMPLE1, "--dot", str(tmp_path / "g.dot")],
+        ["dot", EXAMPLE1],
+    ):
+        _assert_cli_leaves_out("pearlmem.gf2", "pearlmem.selftest", "pearlmem.corpus", argv=argv)
+
+
+@pytest.mark.parametrize("command", ["verify", "brute-check"])
+def test_checks_load_no_selftest(command):
+    _assert_cli_leaves_out("pearlmem.selftest", "pearlmem.corpus", argv=[command, EXAMPLE1])
 
 
 def _argparse_vars(parser, argv: list[str]) -> dict | None:
@@ -927,6 +948,16 @@ def test_usual_calls_do_not_import_argparse(argv):
     # Building the parser, with argparse and the gettext it loads, cost about
     # as much as pearlmem's own imports; only help and usage errors need it.
     _assert_cli_leaves_out("argparse", "gettext", argv=argv)
+
+
+def test_usual_calls_on_a_plain_interpreter_load_no_typing(tmp_path):
+    # The host's site hook may load these before pearlmem does, so only an
+    # interpreter without it (-S) shows that no subcommand but selftest and
+    # help needs them.
+    for argv in USUAL_ARGV:
+        if argv[0] != "selftest":
+            argv = [str(tmp_path / arg) if arg.endswith(".dot") else arg for arg in argv]
+            _assert_cli_leaves_out("typing", "pathlib", "random", argv=argv, plain=True)
 
 
 def test_the_module_entry_reads_sys_argv():

@@ -175,7 +175,7 @@ def test_records_are_immutable_values(monkeypatch):
             record.not_a_field = 1
     assert first["PearlNecklace"] != parse("qubits 3\nCNOT(2,3)(D)")
     assert first["GateString"] != GateString(2, 3, 2)
-    assert first["GateString"] == (2, 3, 1)  # a NamedTuple equals its plain tuple
+    assert first["GateString"] == (2, 3, 1)  # a namedtuple equals its plain tuple
 
     # The graph is a cache: building it, or passing one in, changes nothing.
     report = first["AnalysisReport"]

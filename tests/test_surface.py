@@ -46,10 +46,10 @@ def test_public_names_are_pinned():
         assert getattr(pearlmem, name) is not None, name
 
 
-def test_import_binds_every_submodule():
-    # Other tests import the submodules themselves, so only a fresh
-    # interpreter shows whether `import pearlmem` alone binds them.
-    script = f"import pearlmem; print([m for m in {SUBMODULES!r} if not hasattr(pearlmem, m)])"
+def _fresh(script: str) -> str:
+    """The stdout of ``script`` run in a fresh interpreter: other tests import
+    the submodules themselves, so only a fresh one shows what ``import
+    pearlmem`` alone loads and binds."""
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
@@ -58,7 +58,40 @@ def test_import_binds_every_submodule():
         timeout=60,
         check=True,
     )
-    assert proc.stdout == "[]\n"  # the submodules that are not bound
+    return proc.stdout
+
+
+def test_import_binds_every_submodule():
+    # Each submodule is bound on first use, so hasattr loads and binds it.
+    script = f"import pearlmem; print([m for m in {SUBMODULES!r} if not hasattr(pearlmem, m)])"
+    assert _fresh(script) == "[]\n"  # the submodules that are not bound
+
+
+def test_import_loads_no_submodule():
+    # A subcommand loads only the modules it runs; the package loads none.
+    script = "import pearlmem, sys; print(sorted(m for m in sys.modules if 'pearlmem.' in m))"
+    assert _fresh(script) == "[]\n"
+
+
+def test_every_public_name_and_submodule_resolves():
+    # dir() lists them before any is loaded; each name is its home module's
+    # object, each submodule the one in sys.modules, and a star import binds
+    # every name of __all__.
+    script = f"""
+import sys, pearlmem
+assert set(pearlmem.__all__) | set({SUBMODULES!r}) <= set(dir(pearlmem))
+for m in {SUBMODULES!r}:
+    assert getattr(pearlmem, m) is sys.modules["pearlmem." + m], m
+for name in pearlmem.__all__:
+    home = pearlmem._HOMES[name]
+    assert getattr(pearlmem, name) is getattr(sys.modules["pearlmem." + home], name), name
+assert not hasattr(pearlmem, "no_such_name")
+namespace = {{}}
+exec("from pearlmem import *", namespace)
+assert set(pearlmem.__all__) == set(namespace) - {{"__builtins__"}}
+print("ok")
+"""
+    assert _fresh(script) == "ok\n"
 
 
 def test_names_the_benchmark_reads_exist():
