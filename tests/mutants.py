@@ -122,6 +122,13 @@ MUTANTS = (
         'from . import gf2\n\n__version__ = "0.1.0"\n',
         ("tests/test_surface.py::test_import_loads_no_submodule",),
     ),
+    Mutant(
+        "program entry does not freeze the heap",
+        "cli.py",
+        "    gc.freeze()\n",
+        "",
+        ("tests/test_cli.py::test_the_program_entry_freezes_the_heap",),
+    ),
 )
 
 # Runs the named tests in a fresh interpreter, then checks that the package

@@ -2,10 +2,12 @@
 
 import collections
 import contextlib
+import gc
 import io
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -968,3 +970,33 @@ def test_the_module_entry_reads_sys_argv():
     with _run_cli(["--help"], subprocess.PIPE, False) as proc:
         out, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, b"") and out.startswith(b"usage: pearlmem [-h]"), out
+
+
+def test_the_program_entry_freezes_the_heap(capsys):
+    # python -m pearlmem.cli (run as runpy runs it) and the console script
+    # named in pyproject.toml go through an entry that freezes the heap, so
+    # the collections at exit skip it.  An atexit hook, which runs before
+    # them, prints the frozen count last on stderr.  Help and usage errors
+    # leave main by SystemExit, after the freeze.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, name = re.search(r'^pearlmem = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    hook = (
+        "import atexit, gc, sys; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr)); "
+    )
+    entries = [
+        hook + "import runpy; runpy.run_module('pearlmem.cli', run_name='__main__', alter_sys=True)",
+        hook + f"from {module} import {name}; sys.exit({name}())",
+    ]
+    for entry in entries:
+        for argv, status in (["analyze", EXAMPLE1], 0), (["--help"], 0), (["analyze"], 1):
+            with _run_cli(argv, subprocess.DEVNULL, False, entry=("-c", entry)) as proc:
+                err = proc.communicate(timeout=60)[1].decode()
+            assert proc.returncode == status, (entry, argv, err)
+            frozen = err.splitlines()[-1].split()
+            assert frozen[0] == "frozen" and int(frozen[1]) > 0, (entry, argv, err)
+    # A call in process freezes nothing.
+    before = gc.get_freeze_count()
+    assert main(["analyze", EXAMPLE1]) == 0
+    assert gc.get_freeze_count() == before
+    assert capsys.readouterr().err == ""

@@ -248,6 +248,22 @@ def test_minimal_means_minimal_under_the_pair_rule():
     pearl, conv = ([row[lo:hi] for row in matrix[lo:hi]] for matrix in dense)
     assert pearl == conv
 
+    # The corpus's own example1.pne is of the same class: memory 3 under the
+    # pair rule, yet a memory-2 block that breaks it is GF(2)-equal.
+    enc = parse(corpus_path("example1.pne").read_text())
+    fa = frame_assignment(enc)
+    assert fa.memory == 3
+    assert brute_force_min_memory(enc, bound=4) == 3
+    lower = fa._replace(sigma=(1, 1, 2, 1, 2), tau=(0, 0, 0, 1, 1), memory=2, memory_qubits=6)
+    assert not satisfies_constraints(enc, lower)
+    assert realization_check(enc, lower) == {"frames": 15, "interior_equal": True, "margin": 5}
+    for frames in (40, 120):
+        assert realization_check(enc, lower, frames)["interior_equal"], frames
+    gates = conv_encoder_gates(enc, lower)
+    dense = [dense_pearl_matrix(enc, 60), dense_conv_matrix(enc, gates, 2, 60)]
+    pearl, conv = ([row[lo:hi] for row in matrix[lo:hi]] for matrix in dense)
+    assert pearl == conv
+
 
 def test_brute_check_matches_only_the_exact_memory():
     # The bound is memory + 1, so a wrong memory, or nothing found within
