@@ -109,13 +109,16 @@ def longest_path_linear(enc: PearlNecklace) -> LongestPath:
     relaxations = n
     edge_count = 2 * n
     for j, (a, b, l) in enumerate(enc.strings, start=1):
-        p, q = max(l, 0), max(-l, 0)
+        nonneg = l >= 0
+        p, q = (l, 0) if nonneg else (0, -l)
         w, via = 0, START
-        if b in src_count:
+        earlier_sources = src_count.get(b, 0)
+        if earlier_sources:
             relaxations += 1
             if sigma_max[b] - q > w:
                 w, via = sigma_max[b] - q, sigma_arg[b]
-        if a in tgt_count:
+        earlier_targets = tgt_count.get(a, 0)
+        if earlier_targets:
             relaxations += 1
             reach = tau_max[a] - p
             if reach > w or (reach == w > 0 and tau_arg[a] < via):
@@ -125,14 +128,15 @@ def longest_path_linear(enc: PearlNecklace) -> LongestPath:
         if w + p + q > end_weight:
             end_weight, end_pred = w + p + q, j
 
-        edge_count += src_count.get(b, 0) + tgt_count.get(a, 0) - pair_count.get((b, a, l >= 0), 0)
+        edge_count += earlier_sources + earlier_targets - pair_count.get((b, a, nonneg), 0)
         if w + p > sigma_max.get(a, -1):
             sigma_max[a], sigma_arg[a] = w + p, j
         if w + q > tau_max.get(b, -1):
             tau_max[b], tau_arg[b] = w + q, j
         src_count[a] = src_count.get(a, 0) + 1
         tgt_count[b] = tgt_count.get(b, 0) + 1
-        pair_count[a, b, l >= 0] = pair_count.get((a, b, l >= 0), 0) + 1
+        key = a, b, nonneg
+        pair_count[key] = pair_count.get(key, 0) + 1
 
     verts = [n + 1]
     cur = end_pred
@@ -166,15 +170,8 @@ def assignment_from_weights(enc: PearlNecklace, lp: LongestPath) -> FrameAssignm
     """
     if len(lp.gate_weights) != len(enc.strings):
         raise ValueError("weights were not computed from this encoder")
-    sigma: list[int] = []
-    tau: list[int] = []
-    for g, w in zip(enc.strings, lp.gate_weights):
-        if g.degree >= 0:
-            tau.append(w)
-            sigma.append(w + g.degree)
-        else:
-            sigma.append(w)
-            tau.append(w - g.degree)
+    sigma = [w + l if l >= 0 else w for (_, _, l), w in zip(enc.strings, lp.gate_weights)]
+    tau = [w if l >= 0 else w - l for (_, _, l), w in zip(enc.strings, lp.gate_weights)]
     fa = FrameAssignment(
         sigma=tuple(sigma),
         tau=tuple(tau),
@@ -185,7 +182,7 @@ def assignment_from_weights(enc: PearlNecklace, lp: LongestPath) -> FrameAssignm
         raise ValueError(
             "longest-path weights give an assignment that violates a pair constraint"
         )
-    if fa.memory != max((max(s, t) for s, t in zip(sigma, tau)), default=0):
+    if fa.memory != max(max(sigma, default=0), max(tau, default=0)):
         raise ValueError(
             f"longest-path weight {fa.memory} differs from the largest frame index used"
         )
@@ -218,18 +215,19 @@ def _edge_weight(enc: PearlNecklace, u: int, v: int) -> int | None:
         return 0 if 1 <= v <= n or (n == 0 and v == 1) else None
     if not 1 <= u <= n:
         return None
-    gi = enc.strings[u - 1]
+    a, b, l = enc.strings[u - 1]
     if v == n + 1:
-        return abs(gi.degree)
+        return l if l >= 0 else -l
     if not u < v <= n:
         return None
-    gj = enc.strings[v - 1]
-    weights = []
-    if gi.source == gj.target:  # source-target: p_i - q_j
-        weights.append(max(gi.degree, 0) - max(-gj.degree, 0))
-    if gi.target == gj.source:  # target-source: q_i - p_j
-        weights.append(max(-gi.degree, 0) - max(gj.degree, 0))
-    return max(weights, default=None)
+    c, d, m = enc.strings[v - 1]
+    p_i, q_i = (l, 0) if l >= 0 else (0, -l)
+    p_j, q_j = (m, 0) if m >= 0 else (0, -m)
+    if a != d:  # no source-target edge, so target-source or none: q_i - p_j
+        return q_i - p_j if b == c else None
+    if b != c:  # source-target only: p_i - q_j
+        return p_i - q_j
+    return max(p_i - q_j, q_i - p_j)  # both, for strings (a, b) and (b, a)
 
 
 def frame_assignment(enc: PearlNecklace) -> FrameAssignment:
@@ -245,11 +243,13 @@ def satisfies_constraints(enc: PearlNecklace, fa: FrameAssignment) -> bool:
     """
     max_sigma: dict[int, int] = {}  # by source qubit
     max_tau: dict[int, int] = {}  # by target qubit
-    for g, sigma, tau in zip(enc.strings, fa.sigma, fa.tau, strict=True):
-        if max_sigma.get(g.target, tau) > tau or max_tau.get(g.source, sigma) > sigma:
+    for (a, b, _), sigma, tau in zip(enc.strings, fa.sigma, fa.tau, strict=True):
+        if max_sigma.get(b, tau) > tau or max_tau.get(a, sigma) > sigma:
             return False
-        max_sigma[g.source] = max(max_sigma.get(g.source, sigma), sigma)
-        max_tau[g.target] = max(max_tau.get(g.target, tau), tau)
+        if max_sigma.get(a, sigma) <= sigma:
+            max_sigma[a] = sigma
+        if max_tau.get(b, tau) <= tau:
+            max_tau[b] = tau
     return True
 
 

@@ -29,15 +29,6 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 
-def degree_notation(degree: int) -> str:
-    """Delay-operator notation for a degree: 0 -> "1", 1 -> "D", k -> "D^k"."""
-    if degree == 0:
-        return "1"
-    if degree == 1:
-        return "D"
-    return f"D^{degree}"
-
-
 class GateString(namedtuple("GateString", "source target degree")):
     """One repeated CNOT string: qubit ``source`` of every frame controls qubit
     ``target`` of the frame ``degree`` frames later.
@@ -61,7 +52,9 @@ class GateString(namedtuple("GateString", "source target degree")):
         return cls(*iterable)
 
     def notation(self) -> str:
-        return f"CNOT({self.source},{self.target})({degree_notation(self.degree)})"
+        """The string in the parser's syntax; degree 0 is "1", 1 is "D", k is "D^k"."""
+        a, b, l = self
+        return f"CNOT({a},{b})({'1' if l == 0 else 'D' if l == 1 else f'D^{l}'})"
 
 
 class PearlNecklace(namedtuple("PearlNecklace", "strings frame_width")):

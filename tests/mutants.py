@@ -39,8 +39,40 @@ class Mutant(NamedTuple):
 
 _SHIFT_FORM = ("tests/test_gf2.py::test_shift_form_equals_the_per_frame_reference",)
 _BAND = ("tests/test_gf2.py::test_band_verdict_equals_the_interior_verdict",)
+_CORE = (
+    "tests/test_assignment.py::test_linear_core_matches_graph_oracle",
+    "tests/test_assignment.py::test_linear_core_matches_graph_oracle_on_seeded_encoders",
+)
 
 MUTANTS = (
+    Mutant(
+        "core edge count without the same-sign subtraction",
+        "assignment.py",
+        "earlier_sources + earlier_targets - pair_count.get((b, a, nonneg), 0)",
+        "earlier_sources + earlier_targets",
+        _CORE,
+    ),
+    Mutant(
+        "core without its target-source tie-break",
+        "assignment.py",
+        "if reach > w or (reach == w > 0 and tau_arg[a] < via):",
+        "if reach > w:",
+        _CORE,
+    ),
+    Mutant(
+        "certificate keeps each qubit's first sigma",
+        "assignment.py",
+        "if max_sigma.get(a, sigma) <= sigma:",
+        "if a not in max_sigma:",
+        ("tests/test_assignment.py::test_satisfies_constraints_detects_violations",),
+    ),
+    Mutant(
+        "certificate weighs a two-way collision by its source-target edge",
+        "assignment.py",
+        "return max(p_i - q_j, q_i - p_j)",
+        "return p_i - q_j",
+        ("tests/test_assignment.py::test_path_certificate_agrees_with_the_graph",),
+    ),
     Mutant(
         "shift form: no mask in the doubling loop",
         "gf2.py",

@@ -1,6 +1,8 @@
 """Tests for the JSON report: byte for byte the reference writer's output."""
 
-from conftest import encoders, to_json_reference
+import random
+
+from conftest import encoders, seeded_gates, to_json_reference
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -15,12 +17,21 @@ VERIFICATIONS = [
 ]
 
 
+def _seeded(width: int) -> PearlNecklace:
+    """An encoder of the benchmark's shape, N = 1000 strings with |l| <= 3: so
+    1000-item arrays and, at width 4, weights in the hundreds and a critical
+    path of 298 vertices."""
+    return PearlNecklace.from_tuples(seeded_gates(random.Random(1), 1000, width, 3), width)
+
+
 @given(
     encoders(max_strings=8, max_width=5, degree_range=(-4, 4)),
     st.sampled_from(VERIFICATIONS),
 )
 @example(PearlNecklace((), 1), None)
 @example(PearlNecklace((), 3), VERIFICATIONS[2])
+@example(_seeded(4), None)
+@example(_seeded(64), VERIFICATIONS[1])
 def test_to_json_matches_the_reference(enc, verification):
     report = analyze(enc)
     assert to_json(report, verification) == to_json_reference(report, verification)
