@@ -15,7 +15,7 @@ maxima of the earlier strings, and skips a (string, maxima) pair it has seen.
 ``verify``, ``brute-check`` and ``selftest`` share :func:`realization_check`
 and :func:`brute_check`, the one home of each check's refusals and of the
 strength it works out for itself: the margin and the brute-force bound are
-not parameters.
+not parameters, and a window too short for that margin is refused.
 
 A matrix is held as its rows, each a Python int used as a bitmask: bit c of
 row r is entry (r, c).  A CNOT from global qubit s to t XORs row s into row t.
@@ -51,20 +51,20 @@ and applies the block to a sliding window of ``memory + 1`` frames at fixed
 row indices.  Neither builder relies on the pair rule or the graph.
 
 :func:`realization_check` at margin M (I = F - 2M interior frames of w
-qubits) simulates only the columns of frames M and F-M-1, the band, when
-M >= max(m, fall) for the block memory m and :func:`_largest_fall`; else
-every interior column.  The verdict is the same bit.  Block offsets p < 0
-touch only frames below m and run first, offsets p >= F - m only frames from
-F - m on and run last, so with M >= m the convolutional interior is the
-infinite encoder's.  A pearl-necklace entry (r, c) sums the paths c -> r
-inside [0, F); one between interior frames that leaves the window falls by
-more than M along one stretch, which M >= fall excludes (a CNOT(a,a)(D^l)
-acts at most once on a path if l < 0, and only rises if l > 0).  Both
-infinite encoders are shift-invariant, so the interior difference is
-block-Toeplitz, D[r + w, c + w] = D[r, c], and frames M and F-M-1 see all
-its delays, 0..I-1 and -(I-1)..0.  For the core's own assignment fall <= L
-(a falling path is a chain of target-source edges of weights summing to
-fall + p_first + p_last), so default ``verify`` takes the band.
+qubits) simulates only the columns of frames M and F-M-1, the band, and
+refuses M < max(m, fall) for the block memory m and :func:`_largest_fall`.
+Block offsets p < 0 touch only frames below m and run first, offsets
+p >= F - m only frames from F - m on and run last, so with M >= m the
+convolutional interior is the infinite encoder's.  A pearl-necklace entry
+(r, c) sums the paths c -> r inside [0, F); one between interior frames that
+leaves the window falls by more than M along one stretch, which M >= fall
+excludes (a CNOT(a,a)(D^l) acts at most once on a path if l < 0, and only
+rises if l > 0).  Both infinite encoders are shift-invariant, so the
+interior difference is block-Toeplitz, D[r + w, c + w] = D[r, c], and frames
+M and F-M-1 see all its delays, 0..I-1 and -(I-1)..0.  Below the rule even
+every interior column can read FALSE for the core's own assignment, whose
+fall is at most L (a falling path is a chain of target-source edges weighing
+fall + p_first + p_last): default ``verify`` is never refused.
 
 Conventions: stream frames are numbered 0..F-1 in pearl-necklace order (frame
 0 first); the global index of qubit q in frame f is f*n + (q-1).  Window
@@ -105,16 +105,11 @@ class Gf2Circuit(namedtuple("Gf2Circuit", "frames frame_width rows")):
         return cls(*iterable)
 
 
-def _check_margin(frames: int, margin: int) -> None:
-    if not 0 <= 2 * margin < frames:
-        raise ValueError(f"margin {margin} leaves no interior in {frames} frames")
-
-
-def check_window(frames: int, frame_width: int, memory: int, margin: int) -> None:
+def check_window(frames: int, frame_width: int, memory: int) -> None:
     """Raise ``ValueError`` for the first problem of a window check, in this
     order: no frames, more than :data:`MAX_QUBITS` qubits, a block window of
-    ``memory + 1`` frames that does not fit, a margin that leaves no interior.
-    Cheap, so callers can refuse before simulating anything."""
+    ``memory + 1`` frames that does not fit.  Cheap, so callers can refuse
+    before simulating anything."""
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
     size = frames * frame_width
@@ -127,7 +122,6 @@ def check_window(frames: int, frame_width: int, memory: int, margin: int) -> Non
         raise ValueError(
             f"window of {memory + 1} frames does not fit in {frames} frames"
         )
-    _check_margin(frames, margin)
 
 
 def _identity(frames: int, n: int, columns: range) -> list[int]:
@@ -147,7 +141,7 @@ def pearl_matrix(enc: PearlNecklace, frames: int) -> Gf2Circuit:
     frame.
     """
     n = enc.frame_width
-    check_window(frames, n, 0, 0)
+    check_window(frames, n, 0)
     return Gf2Circuit(frames, n, _pearl_matrix(enc, frames, range(frames)))
 
 
@@ -188,7 +182,7 @@ def conv_matrix(
     :func:`check_window` does, and for a gate outside the window.
     """
     n = enc.frame_width
-    check_window(frames, n, memory, 0)
+    check_window(frames, n, memory)
     return Gf2Circuit(frames, n, _conv_matrix(enc, gates, memory, frames, range(frames)))
 
 
@@ -241,12 +235,12 @@ def default_margin(enc: PearlNecklace, memory: int) -> int:
 def fitted_margin(enc: PearlNecklace, memory: int, frames: int) -> int:
     """:func:`default_margin` capped to leave a nonempty interior in ``frames``.
 
-    A TRUE comparison in a short window is weak, capped or not.  On
-    ``example1.pne`` with gate string 1 raised one frame (sigma 2, tau 1,
-    memory 3), which breaks a pair constraint, windows of 5 to 14 frames read
-    TRUE (margins 2 to 6, interiors of 1 or 2 frames) and windows of 15 frames
-    or more read FALSE, the default window of 18 included.  A margin below the
-    memory can read FALSE for the core's own assignment (``example3``, 4-6 frames).
+    :func:`realization_check` refuses a cap below max(memory, fall).  A TRUE
+    comparison in a short window is still weak: on ``example1.pne`` with gate
+    string 1 raised one frame (sigma 2, tau 1, memory 3), which breaks a pair
+    constraint, windows of 7 to 14 frames read TRUE (margins 3 to 6,
+    interiors of 1 or 2 frames) and windows of 15 frames or more read FALSE,
+    the default window of 18 included.
     """
     return min(default_margin(enc, memory), max((frames - 1) // 2, 0))
 
@@ -258,7 +252,8 @@ def interior_equal(a: Gf2Circuit, b: Gf2Circuit, margin: int) -> bool:
         raise ValueError(
             f"dimension mismatch: {a.frames}x{a.frame_width} vs {b.frames}x{b.frame_width}"
         )
-    _check_margin(a.frames, margin)
+    if not 0 <= 2 * margin < a.frames:
+        raise ValueError(f"margin {margin} leaves no interior in {a.frames} frames")
     lo = margin * a.frame_width
     hi = len(a.rows) - lo
     mask = (1 << hi) - (1 << lo)  # columns lo..hi-1
@@ -269,18 +264,23 @@ def realization_check(
     enc: PearlNecklace, fa: FrameAssignment, frames: int | None = None
 ) -> dict:
     """Compare the pearl-necklace encoder with the convolutional encoder of
-    ``fa`` over ``frames`` frames (default 3 * :func:`default_margin`), away
-    from :func:`fitted_margin` boundary frames on each side, refusing as
-    :func:`check_window` does before either simulation starts."""
+    ``fa`` over ``frames`` frames (default 3 * :func:`default_margin`) on the
+    band at :func:`fitted_margin`.  Refuses as :func:`check_window` does, then
+    a margin below max(memory, largest fall), before either simulation."""
     if frames is None:
         frames = 3 * default_margin(enc, fa.memory)
+    check_window(frames, enc.frame_width, fa.memory)
     margin = fitted_margin(enc, fa.memory, frames)
-    check_window(frames, enc.frame_width, fa.memory, margin)
-    columns = range(margin, frames - margin)
-    if margin >= max(fa.memory, _largest_fall(enc)):  # the band: first and last frame
-        columns = columns[:: max(len(columns) - 1, 1)]
-    pearl = _pearl_matrix(enc, frames, columns)
-    conv = _conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames, columns)
+    need = max(fa.memory, _largest_fall(enc))
+    if margin < need:
+        raise ValueError(
+            f"window of {frames} frames leaves a margin of {margin}, "
+            f"below max(memory, largest fall) = {need}"
+        )
+    interior = range(margin, frames - margin)
+    band = interior[:: max(len(interior) - 1, 1)]  # its first and last frame
+    pearl = _pearl_matrix(enc, frames, band)
+    conv = _conv_matrix(enc, conv_encoder_gates(enc, fa), fa.memory, frames, band)
     return {"frames": frames, "interior_equal": pearl == conv, "margin": margin}
 
 

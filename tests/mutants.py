@@ -108,28 +108,28 @@ MUTANTS = (
     Mutant(
         "band guard without the fall",
         "gf2.py",
-        "if margin >= max(fa.memory, _largest_fall(enc)):",
-        "if margin >= fa.memory:",
+        "need = max(fa.memory, _largest_fall(enc))",
+        "need = fa.memory",
         _BAND,
     ),
     Mutant(
         "band without a guard",
         "gf2.py",
-        "if margin >= max(fa.memory, _largest_fall(enc)):",
-        "if True:",
+        "if margin < need:",
+        "if False:",
         _BAND,
     ),
     Mutant(
         "band of the first interior frame only",
         "gf2.py",
-        "columns = columns[:: max(len(columns) - 1, 1)]",
-        "columns = columns[:1]",
+        "band = interior[:: max(len(interior) - 1, 1)]",
+        "band = interior[:1]",
         _BAND,
     ),
     Mutant(
         "no check_window in realization_check",
         "gf2.py",
-        "check_window(frames, enc.frame_width, fa.memory, margin)",
+        "check_window(frames, enc.frame_width, fa.memory)",
         "None",
         ("tests/test_cli.py::test_verify_refuses_before_simulating",),
     ),

@@ -21,7 +21,7 @@ import pearlmem
 import pearlmem.cli
 import pearlmem.gf2
 import pearlmem.selftest
-from pearlmem import corpus_path, render
+from pearlmem import corpus_path, frame_assignment, render
 from pearlmem.cli import main
 from pearlmem.selftest import random_encoder
 
@@ -245,26 +245,29 @@ def test_verify_json_payload(capsys):
     assert data["verification"]["frames"] == 12
 
 
-def test_verify_detects_boundary_mismatch_with_zero_margin(monkeypatch, capsys):
-    # Margin 0 keeps the truncation boundary in view, where the two
-    # realizations legitimately differ; the mismatch must be loud.
-    monkeypatch.setattr(pearlmem.gf2, "fitted_margin", lambda enc, memory, frames: 0)
+def test_verify_reports_a_mismatch_loudly(monkeypatch, capsys):
+    # One flipped bit of the convolutional side's band stands for a wrong
+    # realization; the mismatch must be loud.
+    real = pearlmem.gf2._conv_matrix
+
+    def flipped(*args):
+        rows = real(*args)
+        return (rows[0] ^ 1, *rows[1:])
+
+    monkeypatch.setattr(pearlmem.gf2, "_conv_matrix", flipped)
     complaint = (
         f"{COMMUTING}: convolutional realization does not match the "
         "pearl-necklace encoder on the GF(2) interior\n"
     )
-    argv = ["verify", COMMUTING, "--frames", "4"]
+    argv = ["verify", COMMUTING, "--frames", "12"]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "interior_equal=FALSE (frames=4, margin=0, memory=1)\n"
+    assert captured.out == "interior_equal=FALSE (frames=12, margin=3, memory=1)\n"
     assert captured.err == complaint
     assert main([*argv, "--json"]) == 2
     captured = capsys.readouterr()
     golden = (GOLDEN / "commuting.verify.json").read_text()
-    assert captured.out == golden.replace(
-        '"frames": 12,\n    "interior_equal": true,\n    "margin": 3',
-        '"frames": 4,\n    "interior_equal": false,\n    "margin": 0',
-    )
+    assert captured.out == golden.replace('"interior_equal": true', '"interior_equal": false')
     assert captured.out != golden
     assert captured.err == complaint
 
@@ -276,15 +279,30 @@ def test_verify_window_must_fit(capsys):
 
 def test_verify_default_window_fits_the_encoder(tmp_path, capsys):
     # The window of 3 x the default margin that selftest checks; a fixed
-    # --frames 12 refuses memory >= 12 and caps the margin too low on others.
+    # --frames 12 refuses memory >= 12 and a margin capped below the rule.
+    # No window from 1 frame to the default is a false alarm (exit 2): the
+    # core's assignment reads TRUE wherever the window is not refused.
     rng = random.Random(5)
     source = tmp_path / "seeded.pne"
-    fixed = collections.Counter()
+    fixed, swept = collections.Counter(), collections.Counter()
     for _ in range(60):
-        source.write_text(render(random_encoder(rng, 6, 4, (-8, 8))))
+        enc = random_encoder(rng, 6, 4, (-8, 8))
+        source.write_text(render(enc))
         assert main(["verify", str(source)]) == 0, source.read_text()
         fixed[main(["verify", str(source), "--frames", "12"])] += 1
-    assert fixed[1] > 10 and fixed[2] > 10, fixed
+        default = 3 * pearlmem.gf2.default_margin(enc, frame_assignment(enc).memory)
+        capsys.readouterr()
+        for frames in range(1, default + 1):
+            code = main(["verify", str(source), "--frames", str(frames)])
+            captured = capsys.readouterr()
+            swept[code] += 1
+            if code == 0:
+                assert captured.out.startswith(f"interior_equal=TRUE (frames={frames},")
+            else:
+                assert code == 1 and captured.out == "", (source.read_text(), frames)
+                assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert fixed[1] > 10 and fixed[2] == 0, fixed
+    assert swept[0] > 1000 and swept[1] > 500, swept
 
 
 def test_verify_refuses_a_simulation_over_budget(tmp_path, capsys):
@@ -306,22 +324,31 @@ def test_verify_refuses_before_simulating(monkeypatch, capsys):
     # realization_check simulates through these two builders.
     monkeypatch.setattr(pearlmem.gf2, "_pearl_matrix", refuse)
     monkeypatch.setattr(pearlmem.gf2, "_conv_matrix", refuse)
-    # example1 has memory 3 and frame width 3: no frames, the qubit budget
-    # and the block window are each refused.
+    # example1 and example3 have memory 3 and frame width 3: no frames, the
+    # qubit budget, the block window and a margin below max(memory, largest
+    # fall) are each refused.
+    short = "window of {} frames leaves a margin of {}, below max(memory, largest fall) = 3"
     cases = [
-        (["--frames", "0"], "frames must be >= 1, got 0"),
+        (EXAMPLE1, ["--frames", "0"], "frames must be >= 1, got 0"),
         (
+            EXAMPLE1,
             ["--frames", "20000", "--json"],
             "GF(2) simulation of 20000 frames x 3 qubits = 60000 qubits "
             "exceeds the limit of 32768",
         ),
-        (["--frames", "3"], "window of 4 frames does not fit in 3 frames"),
+        (EXAMPLE1, ["--frames", "3"], "window of 4 frames does not fit in 3 frames"),
+        (EXAMPLE1, ["--frames", "6"], short.format(6, 2)),
+        (EXAMPLE3, ["--frames", "4", "--json"], short.format(4, 1)),
     ]
-    for options, message in cases:
-        assert main(["verify", EXAMPLE1, *options]) == 1, options
+    for path, options, message in cases:
+        assert main(["verify", path, *options]) == 1, options
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+    # The shortest window that the rule admits for example3 reads TRUE.
+    monkeypatch.undo()
+    assert main(["verify", EXAMPLE3, "--frames", "7"]) == 0
+    assert capsys.readouterr().out == "interior_equal=TRUE (frames=7, margin=3, memory=3)\n"
 
 
 def test_brute_check_refuses_an_encoder_over_budget(tmp_path, capsys):

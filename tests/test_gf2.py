@@ -414,13 +414,13 @@ def _low_memory(rng, enc, fa):
 
 
 def test_band_verdict_equals_the_interior_verdict():
-    """``realization_check`` simulates only two column frames when its margin
-    is at least max(memory, fall), and must read what every interior column
-    reads.  The assignments are the core's, shifted, corrupted and random
-    low-memory ones; the windows are the default, twice it, and a random one
-    from memory + 1 up."""
+    """``realization_check`` refuses exactly the windows whose margin is below
+    max(memory, fall); elsewhere it simulates only two column frames and must
+    read what every interior column reads.  The assignments are the core's,
+    shifted, corrupted and random low-memory ones; the windows are the
+    default, twice it, and a random one from memory + 1 up."""
     rng = random.Random(24)
-    seen = {}  # (band taken, verdict) -> count
+    seen = {}  # verdict, or "refused" -> count
     for i in range(1600):
         enc = _chained_encoder(rng) if i % 2 else random_encoder(rng)
         fa = frame_assignment(enc)
@@ -434,18 +434,21 @@ def test_band_verdict_equals_the_interior_verdict():
         for moved in filter(None, assignments):
             default = 3 * default_margin(enc, moved.memory)
             for frames in (None, 2 * default, rng.randint(moved.memory + 1, default)):
-                result = realization_check(enc, moved, frames)
-                assert result["interior_equal"] == interior_verdict(enc, moved, frames), (
-                    render(enc), moved, frames
-                )
-                band = result["margin"] >= max(moved.memory, _largest_fall(enc))
-                key = (band, result["interior_equal"])
+                margin = fitted_margin(enc, moved.memory, frames or default)
+                if margin < max(moved.memory, _largest_fall(enc)):
+                    with pytest.raises(ValueError, match=f"margin of {margin}, below"):
+                        realization_check(enc, moved, frames)
+                    key = "refused"
+                else:
+                    key = realization_check(enc, moved, frames)["interior_equal"]
+                    assert key == interior_verdict(enc, moved, frames), (render(enc), moved, frames)
                 seen[key] = seen.get(key, 0) + 1
-    assert seen == {(True, True): 8207, (True, False): 7366, (False, True): 522, (False, False): 678}
+    assert seen == {True: 8207, False: 7366, "refused": 1200}
 
-    # Chains on one qubit whose fall exceeds the margin: both interiors read
-    # FALSE, and the band alone would read TRUE, so the guard is needed.
-    # Seeded sweeps find such a case about once in 15 000 tries.
+    # Chains on one qubit whose fall exceeds the margin at the default
+    # window: every interior column reads FALSE, and the band alone would
+    # read TRUE, so the window is refused.  Seeded sweeps find such a case
+    # about once in 15 000 tries.
     cases = [
         ([(1, 1, 5), (1, 1, -6), (1, 1, -5), (1, 1, -6)], (9, 2, 1, 2), (4, 8, 6, 8), 17, 48, 16),
         ([(1, 1, 6), (1, 1, -5), (1, 1, -6), (1, 1, -5)], (7, 1, 1, 0), (1, 6, 7, 5), 16, 42, 14),
@@ -457,8 +460,9 @@ def test_band_verdict_equals_the_interior_verdict():
         memory = max(sigma + tau)
         fa = FrameAssignment(sigma, tau, memory, memory)
         assert _largest_fall(enc) == fall > margin >= memory
-        result = realization_check(enc, fa)
-        assert result == {"frames": frames, "interior_equal": False, "margin": margin}
+        assert 3 * default_margin(enc, memory) == frames
+        with pytest.raises(ValueError, match=f"{frames} frames .* below .* = {fall}$"):
+            realization_check(enc, fa)
         assert not interior_verdict(enc, fa)
         columns = range(margin, frames - margin, frames - 2 * margin - 1)  # the band
         band = pearlmem.gf2._pearl_matrix(enc, frames, columns)
@@ -521,8 +525,8 @@ def test_fall_bounds_and_shift_invariant_interiors():
 def test_benchmark_verify_shapes_take_the_band(monkeypatch, width, frames):
     """The benchmark's verify calls (N = 500 at width 4 in 744 frames, N =
     1000 at width 64 in 174 frames) must simulate two column frames, not
-    every interior column: each row holds at most 2 * width bits.  Neither
-    they nor a window below the guard build or compare a full circuit."""
+    every interior column: each row holds at most 2 * width bits.  They build
+    or compare no full circuit, and a window below the rule runs no builder."""
     n = {4: 500, 64: 1000}[width]
     enc = make_encoder(seeded_gates(random.Random(1), n, width, 3), width)
     fa = frame_assignment(enc)
@@ -547,10 +551,11 @@ def test_benchmark_verify_shapes_take_the_band(monkeypatch, width, frames):
     assert (result["frames"] - 2 * result["margin"]) > 2  # the band is narrower
     [pearl, conv] = built
     assert all(row < 1 << 2 * width for row in pearl + conv)
-    # example1 at 6 frames: margin 2 < memory 3, so every interior column.
+    # example1 at 6 frames: margin 2 < memory 3, refused.
     example = parse(corpus_path("example1.pne").read_text())
-    result = realization_check(example, frame_assignment(example), 6)
-    assert result == {"frames": 6, "interior_equal": True, "margin": 2}
+    with pytest.raises(ValueError, match="6 frames leaves a margin of 2, below .* = 3$"):
+        realization_check(example, frame_assignment(example), 6)
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("width", [4, 64])
@@ -648,15 +653,15 @@ def test_interior_equal_rejects_a_margin_without_interior():
 
 
 def test_check_window_refuses_in_order():
-    check_window(12, 3, 3, 5)
+    check_window(12, 3, 11)
     with pytest.raises(ValueError, match="frames must be >= 1, got 0"):
-        check_window(0, 100000, 20, -1)
+        check_window(0, 100000, 20)
     with pytest.raises(ValueError, match="1200000 qubits exceeds the limit"):
-        check_window(12, 100000, 20, -1)
+        check_window(12, 100000, 20)
     with pytest.raises(ValueError, match="window of 13 frames does not fit in 12 frames"):
-        check_window(12, 3, 12, -1)
-    with pytest.raises(ValueError, match="margin 6 leaves no interior in 12 frames"):
-        check_window(12, 3, 3, 6)
+        check_window(12, 3, 12)
+    # A margin that leaves no interior is interior_equal's to refuse:
+    # test_interior_equal_rejects_a_margin_without_interior.
 
 
 def _gf2_peak_bytes(compare):
