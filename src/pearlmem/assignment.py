@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .graph import START, CommutativityGraph
-from .model import PearlNecklace
+from .model import START, PearlNecklace
 
 
 LongestPath = namedtuple("LongestPath", "gate_weights end_weight path relaxations edge_count")

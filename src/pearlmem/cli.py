@@ -19,10 +19,11 @@ count before writing anything, and never builds the graph.  ``verify`` and
 ``brute-check`` run a ``gf2`` check, which works out its own margin or bound
 and makes its own refusals, and return the JSON report with the check's
 result under ``verification`` or a one-line result.  Each subcommand imports
-what only it runs (``gf2``, ``selftest``, ``json``) when it runs, so
-``analyze`` and ``dot`` load no oracle.  ``entry``, the program's entry,
-freezes the heap (``gc.freeze``) before ``main``, so that the collections at
-interpreter exit, whose memory the OS takes back anyway, skip it.
+``report``, ``graph``, ``gf2``, ``selftest`` and ``json`` only if it runs
+them, so ``analyze`` loads no graph, ``dot`` no report and neither an oracle.
+``entry``, the program's entry, freezes the heap (``gc.freeze``) before
+``main``, so that the collections at interpreter exit, whose memory the OS
+takes back anyway, skip it.
 """
 
 from __future__ import annotations
@@ -33,10 +34,8 @@ import sys
 from types import SimpleNamespace
 
 from .assignment import longest_path_linear
-from .graph import check_dot_edges, write_dot
 from .model import PearlNecklace
 from .parser import EncoderSyntaxError, ParseError, SourceText, parse
-from .report import analyze, to_json, to_text
 
 
 def _universal_newlines(text: str) -> str:
@@ -58,6 +57,8 @@ def _load_encoder(path: str) -> PearlNecklace:
 
 def _write_dot(enc: PearlNecklace, edge_count: int, path: str | None) -> None:
     """Refuse a graph over the DOT budget, then stream it to ``path`` or stdout."""
+    from .graph import check_dot_edges, write_dot
+
     check_dot_edges(edge_count)
     if path is None:
         write_dot(enc, sys.stdout)
@@ -71,6 +72,8 @@ def _write_dot(enc: PearlNecklace, edge_count: int, path: str | None) -> None:
 
 
 def _cmd_analyze(args: SimpleNamespace) -> tuple[str, int, str | None]:
+    from .report import analyze, to_json, to_text
+
     enc = _load_encoder(args.file)
     report = analyze(enc)
     if args.dot is not None:
@@ -86,6 +89,7 @@ def _cmd_dot(args: SimpleNamespace) -> tuple[str, int, str | None]:
 
 def _cmd_verify(args: SimpleNamespace) -> tuple[str, int, str | None]:
     from .gf2 import realization_check
+    from .report import analyze, to_json
 
     enc = _load_encoder(args.file)
     report = analyze(enc)
@@ -105,6 +109,7 @@ def _cmd_verify(args: SimpleNamespace) -> tuple[str, int, str | None]:
 
 def _cmd_brute_check(args: SimpleNamespace) -> tuple[str, int, str | None]:
     from .gf2 import brute_check
+    from .report import analyze, to_json
 
     enc = _load_encoder(args.file)
     report = analyze(enc)

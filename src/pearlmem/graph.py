@@ -33,10 +33,10 @@ The enumerator feeds both :func:`build_graph`, which holds the edges, and
 at most 64(N + 2) keys in the lists that repeated classes hand on, with one
 line per key, and at most 8(N + 2) edge texts and 32(N + 2) run keys (see
 ``_collisions``), whatever the degrees and the order of the strings.  The
-analysis does not need the graph: because the weights separate,
-``assignment.longest_path_linear`` reads the same longest path, and the edge
-count, off running maxima per qubit.  The graph is built
-as the oracle that the linear search is checked against.
+analysis neither builds the graph nor loads this module: because the weights
+separate, ``assignment.longest_path_linear`` reads the same longest path, and
+the edge count, off running maxima per qubit.  The graph is built as the
+oracle that the linear search is checked against.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ from collections import defaultdict, namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from io import TextIOBase
 
-from .model import GateString, PearlNecklace
+from .model import START, GateString, PearlNecklace
 
-START = 0
 # Most edges written as DOT, at about 27 bytes an edge line about 270 MB; a
 # seeded N = 10^5, width-4 encoder has 2.3e9 edges and would need about 63 GB.
 MAX_DOT_EDGES = 10**7

@@ -28,6 +28,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
+# Vertex ordinals of the commutativity graph: START is 0, gate string k is k
+# and END is N + 1.  START lives here, so the core and the report load no graph.
+START = 0
+
 
 class GateString(namedtuple("GateString", "source target degree")):
     """One repeated CNOT string: qubit ``source`` of every frame controls qubit

@@ -2,11 +2,11 @@
 
 ``analyze`` runs the linear analysis core and never builds the commutativity
 graph: both renderings read the vertex and edge counts and the critical path
-off the :class:`LongestPath`.  The graph is built only when ``report.graph``
-is first read; DOT output streams without it.  :class:`AnalysisReport` is a
-subclass of a ``collections.namedtuple``, as the package's other records are
-or subclass one; it keeps that cache in its instance dict, outside the tuple
-and so outside its equality.  The report
+off the :class:`LongestPath`.  The graph is built, and its module loaded, only
+when ``report.graph`` is first read; DOT output streams without it.
+:class:`AnalysisReport` is a subclass of a ``collections.namedtuple``, as the
+package's other records are or subclass one; it keeps that cache in its
+instance dict, outside the tuple and so outside its equality.  The report
 holds only the analysis; a checking subcommand's result reaches the JSON
 through ``to_json``'s ``verification`` argument.
 
@@ -29,8 +29,7 @@ from .assignment import (
     assignment_from_weights,
     longest_path_linear,
 )
-from .graph import START, CommutativityGraph, build_graph
-from .model import PearlNecklace
+from .model import START, PearlNecklace
 
 
 class AnalysisReport(namedtuple("AnalysisReport", "encoder search assignment")):
@@ -53,6 +52,7 @@ class AnalysisReport(namedtuple("AnalysisReport", "encoder search assignment")):
     @cached_property
     def graph(self) -> CommutativityGraph:
         """The commutativity graph, as given or built on first use."""
+        from .graph import build_graph
         return build_graph(self.encoder)
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 _SHIFT_FORM = ("tests/test_gf2.py::test_shift_form_equals_the_per_frame_reference",)
 _BAND = ("tests/test_gf2.py::test_band_verdict_equals_the_interior_verdict",)
+_NO_GRAPH = ("tests/test_cli.py::test_the_analysis_loads_no_graph",)
 _CORE = (
     "tests/test_assignment.py::test_linear_core_matches_graph_oracle",
     "tests/test_assignment.py::test_linear_core_matches_graph_oracle_on_seeded_encoders",
@@ -143,9 +144,23 @@ MUTANTS = (
     Mutant(
         "CLI imports the GF(2) check at module level",
         "cli.py",
-        "from .graph import check_dot_edges, write_dot\n",
-        "from .gf2 import realization_check\nfrom .graph import check_dot_edges, write_dot\n",
+        "from .model import PearlNecklace\n",
+        "from .gf2 import realization_check\nfrom .model import PearlNecklace\n",
         ("tests/test_cli.py::test_analyze_and_dot_load_no_oracle",),
+    ),
+    Mutant(
+        "report imports the graph builder at module level",
+        "report.py",
+        "from .model import START, PearlNecklace\n",
+        "from .graph import build_graph\nfrom .model import START, PearlNecklace\n",
+        _NO_GRAPH,
+    ),
+    Mutant(
+        "core imports the graph builder at module level",
+        "assignment.py",
+        "from .model import START, PearlNecklace\n",
+        "from .graph import build_graph\nfrom .model import START, PearlNecklace\n",
+        _NO_GRAPH,
     ),
     Mutant(
         "package binds gf2 eagerly",

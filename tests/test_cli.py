@@ -164,7 +164,6 @@ def test_analysis_subcommands_never_build_the_graph(monkeypatch, tmp_path, capsy
         raise AssertionError("build_graph called")
 
     monkeypatch.setattr(pearlmem.graph, "build_graph", refuse)
-    monkeypatch.setattr(pearlmem.report, "build_graph", refuse)
     enc = pearlmem.parse(Path(EXAMPLE1).read_text())
     assert pearlmem.analyze(enc).assignment.memory == 3
     target = str(tmp_path / "graph.dot")
@@ -213,7 +212,7 @@ def test_dot_refuses_a_graph_over_budget(monkeypatch, tmp_path, capsys):
     def refuse(*args):
         raise AssertionError("DOT writer started")
 
-    monkeypatch.setattr(pearlmem.cli, "write_dot", refuse)
+    monkeypatch.setattr(pearlmem.graph, "write_dot", refuse)
     monkeypatch.setattr(pearlmem.graph, "MAX_DOT_EDGES", 15)
     target = tmp_path / "graph.dot"
     for argv in (
@@ -508,7 +507,7 @@ def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
     def exhausted(enc):
         raise MemoryError
 
-    monkeypatch.setattr(pearlmem.cli, "analyze", exhausted)
+    monkeypatch.setattr(pearlmem.report, "analyze", exhausted)
     assert main(["analyze", EXAMPLE1]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -798,27 +797,35 @@ def test_line_endings_read_as_in_text_mode(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"{crlf}:3:1: ")
 
 
-def _assert_cli_leaves_out(
-    *unwanted: str, argv: list[str] | None = None, plain: bool = False
-) -> None:
-    """Import the CLI in a fresh interpreter, run ``main(argv)`` if given, and
-    check that none of the ``unwanted`` modules was loaded.  A ``plain``
-    interpreter runs with ``-S``, so no site hook loads modules first."""
+def _cli_modules(argv: list[str] | None = None, plain: bool = False) -> set[str]:
+    """The modules loaded once a fresh interpreter has imported the CLI and
+    run ``main(argv)``, if given.  A ``plain`` interpreter runs with ``-S``,
+    so no site hook loads modules first."""
     src = str(Path(pearlmem.__file__).resolve().parents[1])
     run = "" if argv is None else f"pearlmem.cli.main({argv!r}); "
-    subprocess.run(
+    proc = subprocess.run(
         [
             sys.executable,
             *(["-S"] if plain else []),
             "-c",
-            f"import pearlmem.cli, sys; {run}loaded = set({unwanted!r}) & set(sys.modules); "
-            "assert not loaded, loaded",
+            f"import pearlmem.cli, sys; {run}print(*sys.modules, file=sys.stderr)",
         ],
         env={**os.environ, "PYTHONPATH": src},
         stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
         timeout=60,
         check=True,
     )
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def _assert_cli_leaves_out(
+    *unwanted: str, argv: list[str] | None = None, plain: bool = False
+) -> None:
+    """Check that none of the ``unwanted`` modules is in :func:`_cli_modules`."""
+    loaded = set(unwanted) & _cli_modules(argv, plain)
+    assert not loaded, (argv, loaded)
 
 
 def test_cli_start_up_does_not_import_numpy():
@@ -859,6 +866,25 @@ def test_analyze_and_dot_load_no_oracle(tmp_path):
 @pytest.mark.parametrize("command", ["verify", "brute-check"])
 def test_checks_load_no_selftest(command):
     _assert_cli_leaves_out("pearlmem.selftest", "pearlmem.corpus", argv=[command, EXAMPLE1])
+
+
+@pytest.mark.parametrize("plain", [False, True])
+def test_the_analysis_loads_no_graph(plain):
+    # The core and the report take START from model, and only DOT output and
+    # the oracles load the graph.  A site hook may load bisect, which graph
+    # imports, first, so only an interpreter without it (-S) shows it absent.
+    unwanted = ("pearlmem.graph", "bisect", "_bisect") if plain else ("pearlmem.graph",)
+    for command in ("analyze", "verify", "brute-check"):
+        for argv in ([command, EXAMPLE1], [command, EXAMPLE1, "--json"]):
+            _assert_cli_leaves_out(*unwanted, argv=argv, plain=plain)
+
+
+@pytest.mark.parametrize("plain", [False, True])
+def test_dot_loads_no_report(plain, tmp_path):
+    for argv in (["dot", EXAMPLE1], ["dot", EXAMPLE1, "-o", str(tmp_path / "g.dot")]):
+        _assert_cli_leaves_out("pearlmem.report", argv=argv, plain=plain)
+    argv = ["analyze", EXAMPLE1, "--dot", str(tmp_path / "g.dot")]
+    assert "pearlmem.graph" in _cli_modules(argv, plain)
 
 
 def _argparse_vars(parser, argv: list[str]) -> dict | None:
@@ -987,6 +1013,30 @@ def test_usual_calls_on_a_plain_interpreter_load_no_typing(tmp_path):
         if argv[0] != "selftest":
             argv = [str(tmp_path / arg) if arg.endswith(".dot") else arg for arg in argv]
             _assert_cli_leaves_out("typing", "pathlib", "random", argv=argv, plain=True)
+
+
+# The pearlmem modules of each usual call: what it runs and nothing more.
+_CORE_MODULES = {
+    "pearlmem", "pearlmem.cli", "pearlmem.model", "pearlmem.parser", "pearlmem.assignment"
+}
+CLI_MODULES = {
+    "analyze": {*_CORE_MODULES, "pearlmem.report"},
+    "analyze --dot": {*_CORE_MODULES, "pearlmem.report", "pearlmem.graph"},
+    "dot": {*_CORE_MODULES, "pearlmem.graph"},
+    "verify": {*_CORE_MODULES, "pearlmem.report", "pearlmem.gf2"},
+    "brute-check": {*_CORE_MODULES, "pearlmem.report", "pearlmem.gf2"},
+    "selftest": {*_CORE_MODULES, "pearlmem.graph", "pearlmem.gf2", "pearlmem.selftest"},
+}
+
+
+def test_each_usual_call_loads_exactly_its_modules(tmp_path):
+    for argv in USUAL_ARGV:
+        kind = "analyze --dot" if "--dot" in argv else argv[0]
+        if kind == "selftest":
+            argv = ["selftest", "--count", "1"]
+        argv = [str(tmp_path / arg) if arg.endswith(".dot") else arg for arg in argv]
+        loaded = {name for name in _cli_modules(argv, plain=True) if name.startswith("pearlmem")}
+        assert loaded == CLI_MODULES[kind], argv
 
 
 def test_the_module_entry_reads_sys_argv():

@@ -8,7 +8,7 @@ import pytest
 from conftest import COMMUTING_GATES, POS_GATES, encoders, gate_triples, make_encoder
 from hypothesis import given
 
-import pearlmem.report
+import pearlmem.graph
 from pearlmem import (
     AnalysisReport,
     GateString,
@@ -200,7 +200,7 @@ def test_records_are_immutable_values(monkeypatch):
     # Copies and pickles drop the cache, so each builds its graph again.
     builds = []
     monkeypatch.setattr(
-        pearlmem.report, "build_graph", lambda enc: builds.append(enc) or build_graph(enc)
+        pearlmem.graph, "build_graph", lambda enc: builds.append(enc) or build_graph(enc)
     )
     report = second["AnalysisReport"]
     assert report.graph == report.graph and len(builds) == 1
