@@ -16,8 +16,8 @@ compare equal to plain tuples of the same fields, pickle and copy with
 ``_replace``.  Those that validate their fields (``GateString``,
 ``PearlNecklace``, and ``gf2.Gf2Circuit``, a full matrix whose rows number
 frames x frame_width) do so in ``__new__``, which ``_make`` and so
-``_replace`` also go through.  ``report.AnalysisReport`` keeps its graph
-cache outside the tuple, so the cache takes no part in its equality.  A
+``_replace`` also go through.  Each subclass declares ``__slots__ = ()``,
+so no record keeps an instance dict or anything outside its fields.  A
 record costs one ``namedtuple`` call at import; a ``typing.NamedTuple`` would
 also import ``typing`` and compile each field's annotation, and a dataclass
 would generate and compile its methods.

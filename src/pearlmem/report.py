@@ -3,12 +3,12 @@
 ``analyze`` runs the linear analysis core and never builds the commutativity
 graph: both renderings read the vertex and edge counts and the critical path
 off the :class:`LongestPath`.  The graph is built, and its module loaded, only
-when ``report.graph`` is first read; DOT output streams without it.
-:class:`AnalysisReport` is a subclass of a ``collections.namedtuple``, as the
-package's other records are or subclass one; it keeps that cache in its
-instance dict, outside the tuple and so outside its equality.  The report
-holds only the analysis; a checking subcommand's result reaches the JSON
-through ``to_json``'s ``verification`` argument.
+when ``report.graph`` is read, anew each time; DOT output streams without
+it.  :class:`AnalysisReport` is a slotted subclass of a
+``collections.namedtuple``, as the package's other records are or subclass
+one, so it keeps nothing outside its fields.  The report holds only the
+analysis; a checking subcommand's result reaches the JSON through
+``to_json``'s ``verification`` argument.
 
 ``to_json`` writes every field of the report, its three O(N) arrays
 and a check's flat ``verification`` dict included, from f-string templates:
@@ -21,7 +21,6 @@ do not import ``json``.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 
 from .assignment import (
     FrameAssignment,
@@ -33,10 +32,11 @@ from .model import START, PearlNecklace
 
 
 class AnalysisReport(namedtuple("AnalysisReport", "encoder search assignment")):
-    """The encoder, its longest path and its frame assignment.  The graph
-    cache lives in the instance dict, outside the tuple, so it takes no part
-    in equality, and copies and pickles drop it."""
+    """The encoder, its longest path and its frame assignment."""
 
+    __slots__ = ()
+
+    # The benchmark still passes graph=, which is dropped (ROADMAP item 6).
     def __new__(
         cls,
         encoder: PearlNecklace,
@@ -44,25 +44,13 @@ class AnalysisReport(namedtuple("AnalysisReport", "encoder search assignment")):
         assignment: FrameAssignment,
         graph: CommutativityGraph | None = None,
     ) -> "AnalysisReport":
-        self = tuple.__new__(cls, (encoder, search, assignment))
-        if graph is not None:
-            self.__dict__["graph"] = graph
-        return self
+        return tuple.__new__(cls, (encoder, search, assignment))
 
-    @cached_property
+    @property
     def graph(self) -> CommutativityGraph:
-        """The commutativity graph, as given or built on first use."""
+        """The commutativity graph of the encoder, built on each read."""
         from .graph import build_graph
         return build_graph(self.encoder)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(self)
 
 
 def analyze(enc: PearlNecklace) -> AnalysisReport:

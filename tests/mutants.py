@@ -163,6 +163,20 @@ MUTANTS = (
         _NO_GRAPH,
     ),
     Mutant(
+        "report keeps an instance dict",
+        "report.py",
+        "    __slots__ = ()\n",
+        "",
+        ("tests/test_model.py::test_records_are_immutable_values",),
+    ),
+    Mutant(
+        "report refuses the harness's graph keyword",
+        "report.py",
+        "        graph: CommutativityGraph | None = None,\n",
+        "",
+        ("tests/test_surface.py::test_names_the_benchmark_reads_exist",),
+    ),
+    Mutant(
         "package binds gf2 eagerly",
         "__init__.py",
         '__version__ = "0.1.0"\n',

@@ -447,7 +447,7 @@ def test_path_certificate_agrees_with_the_graph():
     assert verdicts[True] > 1500 and verdicts[False] > 1500, verdicts
 
 
-def test_report_graph_is_built_on_first_read():
+def test_report_graph_is_built_on_each_read():
     enc = make_encoder(MIX_GATES)
     report = analyze(enc)
     assert report.graph == build_graph(enc)
@@ -455,7 +455,7 @@ def test_report_graph_is_built_on_first_read():
     given_graph = AnalysisReport(
         encoder=enc, graph=g, search=report.search, assignment=report.assignment
     )
-    assert given_graph.graph is g
+    assert given_graph.graph == g
     assert given_graph == report
 
 

@@ -167,6 +167,7 @@ def test_records_are_immutable_values(monkeypatch):
         assert record is not other
         assert record == other and hash(record) == hash(other), name
         assert copy.copy(record) == record, name
+        assert not hasattr(record, "__dict__"), name
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
         with pytest.raises(AttributeError):
@@ -177,7 +178,7 @@ def test_records_are_immutable_values(monkeypatch):
     assert first["GateString"] != GateString(2, 3, 2)
     assert first["GateString"] == (2, 3, 1)  # a namedtuple equals its plain tuple
 
-    # The graph is a cache: building it, or passing one in, changes nothing.
+    # The graph is no part of the report: passing one in changes nothing.
     report = first["AnalysisReport"]
     enc = report.encoder
     with_graph = AnalysisReport(
@@ -197,12 +198,12 @@ def test_records_are_immutable_values(monkeypatch):
     with pytest.raises(ValueError):
         enc._replace(frame_width=1)  # its strings use qubit 3
 
-    # Copies and pickles drop the cache, so each builds its graph again.
+    # Nothing is cached: each read of the graph builds it again.
     builds = []
     monkeypatch.setattr(
         pearlmem.graph, "build_graph", lambda enc: builds.append(enc) or build_graph(enc)
     )
     report = second["AnalysisReport"]
-    assert report.graph == report.graph and len(builds) == 1
-    assert copy.copy(report).graph == report.graph and len(builds) == 2
-    assert pickle.loads(pickle.dumps(report)).graph == report.graph and len(builds) == 3
+    assert report.graph == report.graph and len(builds) == 2
+    assert copy.copy(report).graph == report.graph and len(builds) == 4
+    assert pickle.loads(pickle.dumps(report)).graph == report.graph and len(builds) == 6

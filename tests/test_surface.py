@@ -102,7 +102,7 @@ def test_names_the_benchmark_reads_exist():
     lp = assignment.longest_path_weights(g)
     fa = assignment.assignment_from_weights(enc, lp)
     rep = report.AnalysisReport(encoder=enc, graph=g, search=lp, assignment=fa)
-    assert rep.graph is g
+    assert rep.graph == g
     analyzed = pearlmem.analyze(enc)
     assert report.to_json(rep) == report.to_json(analyzed)
     assert report.to_text(rep) == report.to_text(analyzed)
