@@ -91,7 +91,9 @@ def longest_path_linear(enc: PearlNecklace) -> LongestPath:
 
     The edge count is 2N (START and END edges) plus, per gate j, the earlier
     strings with source b_j and those with target a_j, less the same-sign
-    earlier strings with both, whose dominated edge is dropped.
+    earlier strings with both, whose dominated edge is dropped.  The running
+    maxima are kept by comparison, here and in :func:`satisfies_constraints`:
+    a ``max()`` or ``abs()`` call per gate made this core about 40% slower.
     """
     n = len(enc.strings)
     # Keyed by qubit index, so memory follows N and not the frame width.

@@ -1,4 +1,5 @@
-"""Access to the bundled encoder corpus (*.pne files shipped with the package)."""
+"""Access to the bundled encoder corpus (*.pne files shipped with the package).
+Only ``corpus_path`` loads this module, and with it ``pathlib``."""
 
 from __future__ import annotations
 

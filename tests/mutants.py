@@ -5,8 +5,10 @@ A mutant is one exact substitution of text in one file under
 temporary directory, checks that the old text occurs there exactly once,
 applies the substitution and runs the named tests against the copy.  The
 mutant is killed when a test fails (pytest exit code 1) and survives when
-they all pass.  Any other outcome is an error: a missing test, a collection
-error, or tests that did not import the copy.  Stdlib only.
+they all pass.  A run past :data:`TIMEOUT_S` is killed, and so is the
+mutant: tests that never finish never pass.  Any other outcome is an error:
+a missing test, a collection error, or tests that did not import the copy.
+Stdlib only.
 
 Run from anywhere:
 
@@ -27,6 +29,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+# Seconds that one mutant's tests may run: several times the slowest run
+# that ends, so a mutant that its tests would kill by an assertion is not
+# reported as timed out.
+TIMEOUT_S = 60
 
 
 class Mutant(NamedTuple):
@@ -105,6 +111,15 @@ MUTANTS = (
         "                x[a] ^= x[a] >> -l * step\n"
         "                l *= 2\n",
         _SHIFT_FORM,
+    ),
+    Mutant(
+        "shift form: a != b, l >= 0 strings take the prefix XOR",
+        "gf2.py",
+        "        elif a != b:\n",
+        "        elif a == b:\n",
+        # The frame-local string CNOT(1,2)(1) comes first: with l = 0 the
+        # doubling loop never ends, which the time limit must catch.
+        ("tests/test_gf2.py::test_pearl_matrix_frame_local_string", *_SHIFT_FORM),
     ),
     Mutant(
         "band guard without the fall",
@@ -209,7 +224,8 @@ sys.exit(int(code))
 
 def run_mutant(mutant: Mutant) -> str:
     """Apply ``mutant`` to a copy of ``src/`` and run its tests there.
-    Returns "killed" or "survived"; raises ``RuntimeError`` for a stale
+    Returns "survived", "killed", or "killed (timed out after S s)" for a
+    run that :data:`TIMEOUT_S` ends; raises ``RuntimeError`` for a stale
     substitution or a run that neither passes nor fails its tests."""
     with tempfile.TemporaryDirectory() as tmp:
         src = os.path.join(tmp, "src")
@@ -220,14 +236,18 @@ def run_mutant(mutant: Mutant) -> str:
         if count != 1:
             raise RuntimeError(f"{mutant.path}: the old text occurs {count} times, not once")
         target.write_text(text.replace(mutant.old, mutant.new))
-        proc = subprocess.run(
-            [sys.executable, "-c", _PROBE, src, *mutant.tests],
-            cwd=ROOT,
-            env={**os.environ, "PYTHONPATH": src},
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", _PROBE, src, *mutant.tests],
+                cwd=ROOT,
+                env={**os.environ, "PYTHONPATH": src},
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                text=True,
+                timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return f"killed (timed out after {TIMEOUT_S} s)"
     if proc.returncode in (0, 1):
         return ("survived", "killed")[proc.returncode]
     raise RuntimeError(f"the tests exited {proc.returncode}:\n{proc.stdout}")
@@ -241,7 +261,7 @@ def main() -> int:
             outcome = run_mutant(mutant)
         except RuntimeError as err:
             outcome = f"ERROR {err}"
-        bad += outcome != "killed"
+        bad += not outcome.startswith("killed")
         print(f"{outcome:<8} {time.perf_counter() - start:5.1f}s  {mutant.name}", flush=True)
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0

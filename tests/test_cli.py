@@ -30,6 +30,7 @@ EXAMPLE3 = str(corpus_path("example3.pne"))
 COMMUTING = str(corpus_path("commuting.pne"))
 CORPUS = ["commuting", "example1", "example2", "example3"]
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def test_analyze_human_readable(capsys):
@@ -407,7 +408,7 @@ def test_brute_check_finding_nothing_is_a_mismatch(monkeypatch, capsys):
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     # Each `pearlmem ...` line of README's "Command line" block, on the
     # corpus files it names, in a scratch working directory for its outputs.
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = README.read_text(encoding="utf-8")
     block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line, comments=True) for line in block.splitlines()]
     assert len(commands) >= 7 and all(c[0] == "pearlmem" for c in commands), block
@@ -417,6 +418,47 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0, command
     assert (tmp_path / "g.dot").read_text().startswith("digraph commutativity {")
     capsys.readouterr()
+
+
+def test_readme_console_blocks_are_what_the_cli_prints(tmp_path, monkeypatch, capsys):
+    # Each `$ pearlmem ...` of README's console blocks prints the lines under
+    # it: on stdout with exit 0, or, for a refusal, on stderr with exit 1 and
+    # nothing on stdout.  The files that README says "hold" a gate string so
+    # many times are written as it says, and every refusal it quotes
+    # anywhere is one of these runs.
+    readme = README.read_text(encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    held = re.findall(r"`(\w+\.pne)` holds `([^`]+)`(?: (\d+)\s+times)?", readme)
+    for name, line, times in held:
+        Path(name).write_text(f"{line}\n" * int(times or 1))
+    runs = [
+        run.split("\n", 1)
+        for block in re.findall(r"^```console\n(.*?)^```$", readme, re.M | re.S)
+        for run in re.split(r"^\$ ", block, flags=re.M)[1:]
+    ]
+    refusals = []
+    for command, expected in runs:
+        program, *argv = shlex.split(command)
+        argv = [str(corpus_path(a)) if a.endswith(".pne") and not Path(a).exists() else a for a in argv]
+        status = main(argv)
+        out, err = capsys.readouterr()
+        assert (program, out + err, status) == ("pearlmem", expected, 1 if err else 0), command
+        assert not (out and err), command
+        refusals += err.splitlines()
+    assert len(runs) >= 13 and not Path("g.dot").exists()
+    assert set(re.findall(r"error: [^`\n]+", readme)) <= set(refusals)
+
+
+def test_readme_startup_table_is_what_each_subcommand_loads():
+    readme = README.read_text(encoding="utf-8")
+    section = readme.split("## Start-up\n", 1)[1].split("\n## ", 1)[0]
+    every = section.split("Every subcommand loads", 1)[1].split(":", 1)[0]
+    loaded = {}
+    for commands, modules in re.findall(r"^\| (`.+`) \| (`.+`) \|$", section, re.M):
+        own = {f"pearlmem.{m}" for m in re.findall(r"`(\w+)`", modules)}
+        for command in re.findall(r"`([^`]+)`", commands):
+            loaded[command] = set(re.findall(r"`([\w.]+)`", every)) | own
+    assert loaded == CLI_MODULES
 
 
 def test_selftest_runs_clean(capsys):

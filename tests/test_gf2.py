@@ -212,6 +212,13 @@ def test_default_verdicts_hold_in_a_window_twice_as_long():
     assert not satisfies_constraints(enc, moved)
     result = realization_check(enc, moved)
     assert result == {"frames": 18, "interior_equal": False, "margin": 6}
+    # Shorter windows are weaker, as README and fitted_margin state: 5 and 6
+    # frames are refused, 7 to 14 read TRUE and 15 on read FALSE.
+    for frames in (5, 6):
+        with pytest.raises(ValueError, match=f"window of {frames} frames leaves a margin"):
+            realization_check(enc, moved, frames)
+    verdicts = [realization_check(enc, moved, f)["interior_equal"] for f in range(7, 41)]
+    assert verdicts == [True] * 8 + [False] * 26
 
 
 def test_minimal_means_minimal_under_the_pair_rule():

@@ -1,5 +1,6 @@
 """The mutation gate of ``tests/mutants.py``: its substitutions still apply,
-and its runner tells a surviving mutant from a killed one."""
+and its runner tells a surviving mutant from a killed one, a mutant whose
+tests never end included."""
 
 import os
 import subprocess
@@ -28,6 +29,13 @@ def test_a_mutant_that_changes_nothing_survives():
     assert mutants.run_mutant(noop._replace(new="return 0")) == "killed"
     with pytest.raises(RuntimeError, match="occurs 0 times, not once"):
         mutants.run_mutant(noop._replace(old="no such text"))
+
+
+def test_a_mutant_that_loops_is_killed_by_the_time_limit(monkeypatch):
+    # Its first test runs CNOT(1,2)(1) into the doubling loop with l = 0.
+    [looping] = [m for m in mutants.MUTANTS if m.new == "        elif a == b:\n"]
+    monkeypatch.setattr(mutants, "TIMEOUT_S", 1)
+    assert mutants.run_mutant(looping) == "killed (timed out after 1 s)"
 
 
 def test_tests_that_import_another_copy_are_an_error(tmp_path):

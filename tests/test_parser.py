@@ -1,5 +1,7 @@
 """Tests for the encoder text format: grammar, diagnostics, round-trip."""
 
+import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -222,6 +224,23 @@ def test_corpus_and_readme_take_the_fast_path(monkeypatch):
     texts += [SourceText(path.read_text(), name=path.name) for path in corpus_files()]
     monkeypatch.setattr(pearlmem.parser, "_tokenize", _no_tokenizer)
     assert [parse(src) for src in texts] == [parse_reference(src) for src in texts]
+
+
+def test_readme_spaced_spelling_takes_the_tokenizer(monkeypatch):
+    # README: tokens may be separated by any whitespace, so its spaced
+    # spelling is one gate string; the fast path leaves it to the tokenizer.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    spelling = re.search(r"so `(CNOT [^`]+)` is the\s+one gate string `([^`]+)`", readme)
+    spaced, canonical = spelling.groups()
+    assert (spaced, canonical) == ("CNOT (1 ,2)(D ^ 3)", "CNOT(1,2)(D^3)")
+    read, tokenize = [], pearlmem.parser._tokenize
+    monkeypatch.setattr(
+        pearlmem.parser, "_tokenize", lambda text, name: read.append(text) or tokenize(text, name)
+    )
+    enc = parse(spaced)
+    assert read == [spaced] and gates_of(enc) == [(1, 2, 3)]
+    assert render(enc) == f"qubits 2\n{canonical}" and parse(canonical) == enc
+    assert read == [spaced]
 
 
 # Near misses of canonical statements, which the fast path must hand to the
