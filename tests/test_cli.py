@@ -458,7 +458,11 @@ def test_readme_startup_table_is_what_each_subcommand_loads():
         own = {f"pearlmem.{m}" for m in re.findall(r"`(\w+)`", modules)}
         for command in re.findall(r"`([^`]+)`", commands):
             loaded[command] = set(re.findall(r"`([\w.]+)`", every)) | own
-    assert loaded == CLI_MODULES
+    table = {}
+    for argv, modules, _ in CLI_MODULES:
+        if argv:
+            assert table.setdefault("analyze --dot" if "--dot" in argv else argv[0], modules) == modules
+    assert loaded == table
 
 
 def test_selftest_runs_clean(capsys):
@@ -839,94 +843,119 @@ def test_line_endings_read_as_in_text_mode(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"{crlf}:3:1: ")
 
 
-def _cli_modules(argv: list[str] | None = None, plain: bool = False) -> set[str]:
-    """The modules loaded once a fresh interpreter has imported the CLI and
-    run ``main(argv)``, if given.  A ``plain`` interpreter runs with ``-S``,
-    so no site hook loads modules first."""
-    src = str(Path(pearlmem.__file__).resolve().parents[1])
-    run = "" if argv is None else f"pearlmem.cli.main({argv!r}); "
-    proc = subprocess.run(
-        [
-            sys.executable,
-            *(["-S"] if plain else []),
-            "-c",
-            f"import pearlmem.cli, sys; {run}print(*sys.modules, file=sys.stderr)",
-        ],
-        env={**os.environ, "PYTHONPATH": src},
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-        text=True,
-        timeout=60,
-        check=True,
-    )
-    return set(proc.stderr.splitlines()[-1].split())
+# The start-up table, one row per usual call: its argv (None for a bare
+# `import pearlmem.cli`), the pearlmem modules that it loads, exactly, and
+# the standard-library modules that it must not load.  README's "Start-up"
+# table must agree with it.  No call loads json, which only selftest --json
+# needs, nor argparse and the gettext it loads, which only help and usage
+# errors need; numpy, dataclasses and inspect would cost about as much as the
+# rest of the package.  Only selftest needs typing, pathlib or random, and
+# only the calls that load graph need the bisect it imports.
+_NEVER = {"json", "argparse", "gettext", "numpy", "dataclasses", "inspect"}
+_UNTYPED = _NEVER | {"typing", "pathlib", "random"}
+_NO_BISECT = _UNTYPED | {"bisect", "_bisect"}
+_CORE = {"pearlmem", "pearlmem.cli", "pearlmem.model", "pearlmem.parser", "pearlmem.assignment"}
+_REPORT = {*_CORE, "pearlmem.report"}
+_GRAPH = {*_CORE, "pearlmem.graph"}
+_CHECK = {*_REPORT, "pearlmem.gf2"}
+CLI_MODULES = [
+    (None, _CORE, _NO_BISECT),
+    (["analyze", EXAMPLE1, "--json"], _REPORT, _NO_BISECT),
+    (["analyze", EXAMPLE1], _REPORT, _NO_BISECT),
+    (["dot", EXAMPLE1], _GRAPH, _UNTYPED),
+    (["verify", EXAMPLE1, "--frames", "45"], _CHECK, _NO_BISECT),
+    (["brute-check", EXAMPLE1], _CHECK, _NO_BISECT),
+    (["dot", EXAMPLE1, "-o", "graph.dot"], _GRAPH, _UNTYPED),
+    (["verify", EXAMPLE1, "--json", "--frames", "744"], _CHECK, _NO_BISECT),
+    (["brute-check", EXAMPLE1, "--json"], _CHECK, _NO_BISECT),
+    (["analyze", EXAMPLE1, "--dot", "g.dot"], {*_REPORT, "pearlmem.graph"}, _UNTYPED),
+    (["selftest", "--count", "1"], {*_GRAPH, "pearlmem.gf2", "pearlmem.selftest"}, _NEVER),
+    (["verify", EXAMPLE1], _CHECK, _NO_BISECT),
+    (["verify", EXAMPLE1, "--json"], _CHECK, _NO_BISECT),
+]
 
 
-def _assert_cli_leaves_out(
-    *unwanted: str, argv: list[str] | None = None, plain: bool = False
-) -> None:
-    """Check that none of the ``unwanted`` modules is in :func:`_cli_modules`."""
-    loaded = set(unwanted) & _cli_modules(argv, plain)
-    assert not loaded, (argv, loaded)
+@pytest.fixture(scope="module")
+def start_up(tmp_path_factory):
+    """The modules that a row's call leaves loaded, by its argv; each call
+    runs once, in a fresh interpreter with -S, since a site hook may load
+    modules first, which could only hide one that the call loads.  The child
+    prints sys.modules last on stderr, after the call."""
+    out = tmp_path_factory.mktemp("start-up")
+    runs = {}
+
+    def loaded(argv: list[str] | None) -> set[str]:
+        key = None if argv is None else tuple(argv)
+        if key not in runs:
+            call = "0" if argv is None else "pearlmem.cli.main(sys.argv[1:])"
+            script = (
+                f"import pearlmem.cli, sys; status = {call}; "
+                "print(*sys.modules, file=sys.stderr); sys.exit(status)"
+            )
+            args = [str(out / arg) if arg.endswith(".dot") else arg for arg in argv or []]
+            with _run_cli(args, subprocess.DEVNULL, False, entry=("-S", "-c", script)) as proc:
+                err = proc.communicate(timeout=60)[1].decode()
+            assert proc.returncode == 0, err
+            runs[key] = set(err.splitlines()[-1].split())
+        return runs[key]
+
+    return loaded
 
 
-def test_cli_start_up_does_not_import_numpy():
-    # Nor dataclasses and inspect, whose import and code generation would
-    # cost about as much as the rest of the package.
-    _assert_cli_leaves_out("numpy", "dataclasses", "inspect")
+@pytest.mark.parametrize(
+    "argv, modules, left_out",
+    CLI_MODULES,
+    ids=[" ".join(a for a in argv if a != EXAMPLE1) if argv else "import" for argv, _, _ in CLI_MODULES],
+)
+def test_each_usual_call_loads_exactly_its_modules(argv, modules, left_out, start_up):
+    loaded = start_up(argv)
+    assert {name for name in loaded if name.startswith("pearlmem")} == modules
+    assert not loaded & left_out, sorted(loaded & left_out)
 
 
-def test_cli_start_up_does_not_import_json():
-    # Only JSON output needs it; like argparse, which only help and usage
-    # errors need, it is one of the largest imports that start-up skips.
-    _assert_cli_leaves_out("json")
+# The tests below check one property each of a row's call, on the same run.
 
 
-def test_analyze_json_does_not_import_json():
+def test_cli_start_up_does_not_import_numpy(start_up):
+    assert not start_up(None) & {"numpy", "dataclasses", "inspect"}
+
+
+def test_cli_start_up_does_not_import_json(start_up):
+    assert "json" not in start_up(None)
+
+
+def test_analyze_json_does_not_import_json(start_up):
     # The report is written from templates.
-    _assert_cli_leaves_out("json", argv=["analyze", EXAMPLE1, "--json"])
+    assert "json" not in start_up(["analyze", EXAMPLE1, "--json"])
 
 
 @pytest.mark.parametrize("command", ["verify", "brute-check"])
-def test_check_json_does_not_import_json(command):
+def test_check_json_does_not_import_json(command, start_up):
     # A check's flat result is written from templates too.
-    _assert_cli_leaves_out("json", argv=[command, EXAMPLE1, "--json"])
+    assert "json" not in start_up([command, EXAMPLE1, "--json"])
 
 
-def test_analyze_and_dot_load_no_oracle(tmp_path):
-    # Only verify, brute-check and selftest run the oracles; nothing that the
-    # CLI runs needs the corpus.
-    for argv in (
+@pytest.mark.parametrize("command", ["verify", "brute-check"])
+def test_checks_load_no_selftest(command, start_up):
+    assert not start_up([command, EXAMPLE1]) & {"pearlmem.selftest", "pearlmem.corpus"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,
         ["analyze", EXAMPLE1],
         ["analyze", EXAMPLE1, "--json"],
-        ["analyze", EXAMPLE1, "--dot", str(tmp_path / "g.dot")],
         ["dot", EXAMPLE1],
-    ):
-        _assert_cli_leaves_out("pearlmem.gf2", "pearlmem.selftest", "pearlmem.corpus", argv=argv)
-
-
-@pytest.mark.parametrize("command", ["verify", "brute-check"])
-def test_checks_load_no_selftest(command):
-    _assert_cli_leaves_out("pearlmem.selftest", "pearlmem.corpus", argv=[command, EXAMPLE1])
-
-
-@pytest.mark.parametrize("plain", [False, True])
-def test_the_analysis_loads_no_graph(plain):
-    # The core and the report take START from model, and only DOT output and
-    # the oracles load the graph.  A site hook may load bisect, which graph
-    # imports, first, so only an interpreter without it (-S) shows it absent.
-    unwanted = ("pearlmem.graph", "bisect", "_bisect") if plain else ("pearlmem.graph",)
-    for command in ("analyze", "verify", "brute-check"):
-        for argv in ([command, EXAMPLE1], [command, EXAMPLE1, "--json"]):
-            _assert_cli_leaves_out(*unwanted, argv=argv, plain=plain)
-
-
-@pytest.mark.parametrize("plain", [False, True])
-def test_dot_loads_no_report(plain, tmp_path):
-    for argv in (["dot", EXAMPLE1], ["dot", EXAMPLE1, "-o", str(tmp_path / "g.dot")]):
-        _assert_cli_leaves_out("pearlmem.report", argv=argv, plain=plain)
-    argv = ["analyze", EXAMPLE1, "--dot", str(tmp_path / "g.dot")]
-    assert "pearlmem.graph" in _cli_modules(argv, plain)
+        ["verify", EXAMPLE1],
+        ["verify", EXAMPLE1, "--json"],
+        ["brute-check", EXAMPLE1],
+        ["brute-check", EXAMPLE1, "--json"],
+        ["selftest", "--count", "1"],
+    ],
+)
+def test_usual_calls_do_not_import_argparse(argv, start_up):
+    assert not start_up(argv) & {"argparse", "gettext"}
 
 
 def _argparse_vars(parser, argv: list[str]) -> dict | None:
@@ -939,20 +968,11 @@ def _argparse_vars(parser, argv: list[str]) -> dict | None:
             return None
 
 
-# The benchmark's shapes and others that the reader must take; every golden
-# run takes it too (test_outputs_match_golden_files).
-USUAL_ARGV = [
-    ["analyze", EXAMPLE1, "--json"],
-    ["analyze", EXAMPLE1],
-    ["dot", EXAMPLE1],
-    ["verify", EXAMPLE1, "--frames", "45"],
-    ["brute-check", EXAMPLE1],
-    ["dot", EXAMPLE1, "-o", "graph.dot"],
-    ["verify", EXAMPLE1, "--json", "--frames", "744"],
-    ["brute-check", EXAMPLE1, "--json"],
-    ["analyze", EXAMPLE1, "--dot", "g.dot"],
-    ["selftest", "--seed", "1", "--count", "2000", "--json"],
-]
+# The argv that the reader must take: every call of the start-up table, and
+# selftest as the benchmark runs it.  Every golden run takes it too
+# (test_outputs_match_golden_files).
+USUAL_ARGV = [argv for argv, _, _ in CLI_MODULES if argv]
+USUAL_ARGV.append(["selftest", "--seed", "1", "--count", "2000", "--json"])
 
 
 def test_the_usual_argv_take_the_reader():
@@ -1025,60 +1045,6 @@ def test_the_reader_agrees_with_argparse_wherever_it_reads():
     words = {word for argv in read for word in argv}
     assert words >= {*options, *switches, "--dot", "-o", "--output", "--frames", "--seed"}
     assert words >= {"--count", " -1", "+3", "1_0", "٣", ""}, words
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        None,
-        ["analyze", EXAMPLE1],
-        ["analyze", EXAMPLE1, "--json"],
-        ["dot", EXAMPLE1],
-        ["verify", EXAMPLE1],
-        ["verify", EXAMPLE1, "--json"],
-        ["brute-check", EXAMPLE1],
-        ["brute-check", EXAMPLE1, "--json"],
-        ["selftest", "--count", "1"],
-    ],
-)
-def test_usual_calls_do_not_import_argparse(argv):
-    # Building the parser, with argparse and the gettext it loads, cost about
-    # as much as pearlmem's own imports; only help and usage errors need it.
-    _assert_cli_leaves_out("argparse", "gettext", argv=argv)
-
-
-def test_usual_calls_on_a_plain_interpreter_load_no_typing(tmp_path):
-    # The host's site hook may load these before pearlmem does, so only an
-    # interpreter without it (-S) shows that no subcommand but selftest and
-    # help needs them.
-    for argv in USUAL_ARGV:
-        if argv[0] != "selftest":
-            argv = [str(tmp_path / arg) if arg.endswith(".dot") else arg for arg in argv]
-            _assert_cli_leaves_out("typing", "pathlib", "random", argv=argv, plain=True)
-
-
-# The pearlmem modules of each usual call: what it runs and nothing more.
-_CORE_MODULES = {
-    "pearlmem", "pearlmem.cli", "pearlmem.model", "pearlmem.parser", "pearlmem.assignment"
-}
-CLI_MODULES = {
-    "analyze": {*_CORE_MODULES, "pearlmem.report"},
-    "analyze --dot": {*_CORE_MODULES, "pearlmem.report", "pearlmem.graph"},
-    "dot": {*_CORE_MODULES, "pearlmem.graph"},
-    "verify": {*_CORE_MODULES, "pearlmem.report", "pearlmem.gf2"},
-    "brute-check": {*_CORE_MODULES, "pearlmem.report", "pearlmem.gf2"},
-    "selftest": {*_CORE_MODULES, "pearlmem.graph", "pearlmem.gf2", "pearlmem.selftest"},
-}
-
-
-def test_each_usual_call_loads_exactly_its_modules(tmp_path):
-    for argv in USUAL_ARGV:
-        kind = "analyze --dot" if "--dot" in argv else argv[0]
-        if kind == "selftest":
-            argv = ["selftest", "--count", "1"]
-        argv = [str(tmp_path / arg) if arg.endswith(".dot") else arg for arg in argv]
-        loaded = {name for name in _cli_modules(argv, plain=True) if name.startswith("pearlmem")}
-        assert loaded == CLI_MODULES[kind], argv
 
 
 def test_the_module_entry_reads_sys_argv():
