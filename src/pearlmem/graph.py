@@ -31,12 +31,13 @@ is found once, at its first string, and each later string takes its tail.
 The enumerator feeds both :func:`build_graph`, which holds the edges, and
 :func:`write_dot`, which writes the DOT text in batches and holds no edges:
 at most 64(N + 2) keys in the lists that repeated classes hand on, with one
-line per key, and at most 8(N + 2) edge texts and 32(N + 2) run keys (see
-``_collisions``), whatever the degrees and the order of the strings.  The
-analysis neither builds the graph nor loads this module: because the weights
-separate, ``assignment.longest_path_linear`` reads the same longest path, and
-the edge count, off running maxima per qubit.  The graph is built as the
-oracle that the linear search is checked against.
+line per key, 32(N + 2) run keys plus two runs (see ``_collisions``), and
+8(N + 2) edge texts plus one render's (see ``_EdgeLines``), whatever the
+degrees and the order of the strings.  The analysis neither builds the
+graph nor loads this module: because the weights separate,
+``assignment.longest_path_linear`` reads the same longest path, and the
+edge count, off running maxima per qubit.  The graph is built as the oracle
+that the linear search is checked against.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def _collisions(
     runs in C.  The runs hold at most (max|l| + 1) copies of each bucket,
     plus one filtered copy per (source, target, sign) kind: on seeded N = 1000
     encoders 14 keys per string at width 4 and 6 at width 64, against 234 and
-    16 edges.  Past 32(N + 2) keys they are dropped, so they stay O(N).
+    16 edges.  Once past 32(N + 2) keys they are dropped, before the next
+    string's runs are made, so they hold at most that plus two runs: O(N).
 
     A class that repeats hands its first string's keys and items on to each
     of its later strings in turn, and each takes the tail after itself by one
@@ -221,9 +223,15 @@ def _dot_nodes(enc: PearlNecklace) -> str:
 
 class _EdgeLines(dict):
     """An edge line's text after its head, ``'{j} [label="{weight}"];'`` with
-    ``END`` for j = N + 1, by edge key; each formatted on first use."""
+    ``END`` for j = N + 1, by edge key, formatted on first use.  If max|l| <=
+    3, once the texts made so far and a render's keys pass an eighth of all
+    (N + 2)(2 max|l| + 1) <= 7(N + 2), one comprehension makes ``table`` of
+    them all, indexed by key, for every later render: a text made on first
+    use costs about eight of the table's, and an encoder whose edges need
+    few texts never makes it.  Else the cache is cleared before a render
+    once past 8(N + 2) texts."""
 
-    __slots__ = ("targets", "width", "span")
+    __slots__ = ("targets", "width", "span", "table")
 
     def __init__(self, gate_count: int, span: int) -> None:
         super().__init__()
@@ -231,6 +239,7 @@ class _EdgeLines(dict):
         self.targets.append('END [label="')
         self.width = 2 * span + 1
         self.span = span
+        self.table = None
 
     def __missing__(self, key: int) -> str:
         j, r = divmod(key, self.width)
@@ -238,6 +247,13 @@ class _EdgeLines(dict):
         return text
 
     def lines(self, keys: list[int]) -> list[str]:
+        if self.table:
+            return [*map(self.table.__getitem__, keys)]
+        if self.width <= 8 and 8 * (len(self) + len(keys)) > self.width * len(self.targets):
+            weights = [f'{w}"];' for w in range(-self.span, self.span + 1)]
+            self.table = [t + w for t in self.targets for w in weights]
+            self.clear()
+            return [*map(self.table.__getitem__, keys)]
         if len(self) > 8 * len(self.targets):  # O(N) texts, not one per key
             self.clear()
         return [*map(self.__getitem__, keys)]
@@ -245,10 +261,11 @@ class _EdgeLines(dict):
 
 def write_dot(enc: PearlNecklace, out: TextIOBase) -> None:
     """Write ``to_dot(build_graph(enc), enc)`` to ``out`` without holding the
-    edges.  The text of each edge key is formatted once while it is held, and
-    the lines of each class (a, b, l) are looked up once, at its first string
-    (see ``_collisions``).  A string's lines are joined in C with its head
-    as the separator, and ``out`` gets batches of at least
+    edges.  The edge texts come from ``_EdgeLines``: formatted on first use
+    or, once many are needed and max|l| <= 3, from one table of all of them.
+    The lines of each class (a, b, l) are looked up once, at its first
+    string (see ``_collisions``).  A string's lines are joined in C with its
+    head as the separator, and ``out`` gets batches of at least
     :data:`DOT_BATCH` characters, the last excepted."""
     strings = enc.strings
     n = len(strings)

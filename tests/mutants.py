@@ -157,6 +157,15 @@ MUTANTS = (
         "st_runs, run_keys = {}, 0",
         ("tests/test_graph.py::test_streamed_dot_memory_follows_the_strings_not_the_edges",),
     ),
+    # No mutant lifts the table's span guard: at max|l| = 10^9 it would build
+    # (N + 2)(2 * 10^9 + 1) texts.
+    Mutant(
+        "DOT edge table shifts each weight by one",
+        "graph.py",
+        "for w in range(-self.span, self.span + 1)]",
+        "for w in range(1 - self.span, self.span + 2)]",
+        ("tests/test_graph.py::test_streamed_dot_matches_the_pairwise_reference_at_scale",),
+    ),
     Mutant(
         "CLI imports the GF(2) check at module level",
         "cli.py",

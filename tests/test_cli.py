@@ -117,6 +117,19 @@ def test_dot_to_file_and_determinism(tmp_path, capsys):
     assert target.read_bytes() == first
 
 
+def test_dot_over_a_longer_file_leaves_no_stale_tail(tmp_path, capsys):
+    # The DOT file is opened with truncation, not written in place: a longer
+    # file already at the path keeps nothing after the new text.
+    golden = (GOLDEN / "example1.dot").read_bytes()
+    target = tmp_path / "graph.dot"
+    stale = golden + b'  9 -> END [label="9"];\n}\n' * 100
+    for argv in (["dot", EXAMPLE1, "-o", str(target)], ["analyze", EXAMPLE1, "--dot", str(target)]):
+        target.write_bytes(stale)
+        assert main(argv) == 0, argv
+        assert target.read_bytes() == golden, argv
+    assert capsys.readouterr().err == ""
+
+
 def test_empty_dot_path_is_an_error(capsys):
     for argv in (["analyze", EXAMPLE1, "--dot", ""], ["dot", EXAMPLE1, "-o", ""]):
         assert main(argv) == 1, argv

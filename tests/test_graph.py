@@ -20,6 +20,7 @@ from conftest import (
 )
 from hypothesis import given
 
+import pearlmem.graph
 from pearlmem import PearlNecklace, build_graph, parse, to_dot
 from pearlmem.corpus import corpus_files
 from pearlmem.graph import START, _collisions, _span, write_dot
@@ -213,6 +214,33 @@ def test_streamed_dot_matches_the_pairwise_reference_when_classes_repeat():
     assert dot.count('  1 -> 2 [label="0"];\n') == dot.count('  3 -> 60 [label="0"];\n') == 2
 
 
+@pytest.mark.parametrize("span", [3, 4])
+def test_streamed_dot_matches_the_pairwise_reference_at_the_table_boundary(span, monkeypatch):
+    # Up to max|l| = 3 the edge texts come, once enough are needed, from one
+    # table of (N + 2)(2 max|l| + 1) texts, within the 8(N + 2) budget; from
+    # max|l| = 4 on, only from _EdgeLines' first-use cache.
+    made = []
+    edge_lines = pearlmem.graph._EdgeLines
+    monkeypatch.setattr(
+        pearlmem.graph, "_EdgeLines", lambda n, s: made.append(edge_lines(n, s)) or made[-1]
+    )
+    rng = random.Random(span)
+    # Repeated classes that collide both ways, and CNOT(1,2)(D^span) with
+    # CNOT(2,1)(D^-span): two parallel edges of weight 0 with equal keys.
+    repeated = make_encoder([(1, 1, span), (1, 2, 1 - span), (2, 1, -1), (2, 2, -span)] * 40)
+    parallel = make_encoder([(1, 2, span), (2, 1, -span)] * 30)
+    encoders = [repeated, parallel]
+    encoders += [
+        make_encoder(seeded_gates(rng, 300, width, span), frame_width=width) for width in (2, 64)
+    ]
+    for enc in encoders:
+        assert _span(enc.strings) == span
+        assert streamed_dot(enc) == to_dot(build_graph_pairwise(enc), enc)
+    assert [lines.table is not None for lines in made] == [span == 3] * len(encoders)
+    dot = streamed_dot(parallel)
+    assert dot.count('  1 -> 2 [label="0"];\n') == dot.count('  59 -> 60 [label="0"];\n') == 2
+
+
 def test_streamed_dot_allocates_nothing_sized_by_the_degree():
     # Edge keys range over (N + 2)(2 * 10^9 + 1) values; a table indexed by
     # them, or by the weights, would not fit in memory.
@@ -244,6 +272,22 @@ def test_streamed_dot_drops_a_class_after_its_last_string():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
+
+
+def test_streamed_dot_makes_no_edge_table_for_few_texts():
+    # Strings that commute need only the 7 texts of their edges to END, and a
+    # repeated CNOT(1,2)(D) only 1.  A table of all (N + 2)(2 max|l| + 1)
+    # texts, made whatever the need, peaked at 9.5 MB and 6.2 MB; the cache
+    # alone peaks at 4.2 MB and 4.0 MB, mostly the START and node lines.
+    pairs = [(2 * k + 1, 2 * k + 2, l) for l in range(-3, 4) for k in range(32)] * 45
+    for enc in (make_encoder(pairs, frame_width=64), make_encoder([(1, 2, 1)] * 10_000)):
+        tracemalloc.start()
+        try:
+            write_dot(enc, _Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, peak
 
 
 class _Comparing:
